@@ -6,8 +6,7 @@ the open chamber.  The package provides implicit theta-Euler schemes (an
 exact-drift variant and a capped-drift variant), reproducible Monte Carlo
 estimators, and a small CLI around JSON experiment configs.
 """
-from .brownian import (BrownianDriver, TimeGrid, batch_increments, coarsen,
-                       coarsen_driver, make_brownian, path_rng)
+from .brownian import TimeGrid, batch_increments, coarsen, path_rng
 from .coefficients import (CallableDrift, ConstantDrift, DiagonalSigma,
                            LinearDrift, LinearSigma, MatrixSigma, ScalarSigma,
                            ZeroDrift)
@@ -20,15 +19,13 @@ from .mc import (CirReport, ErrorCurve, ExitReport, FitResult, IncrementReport,
                  increment_scaling, negative_moments, scheme_gap,
                  squared_mean_ode, strong_error, wilson_interval)
 from .model import (AssumptionReport, ModelSpec, bessel_model, capped_inverse,
-                    diffusion_scale, dyson_model, lipschitz_scale,
-                    moment_threshold, sample_chamber_points, singular_drift,
-                    truncated_drift, type_b_model, validate_assumptions)
+                    dyson_model, lipschitz_scale, moment_threshold,
+                    sample_chamber_points, singular_drift, truncated_drift,
+                    type_b_model, validate_assumptions)
 from .roots import (AxiomReport, Root, RootSystem, direct_sum, make_type_a,
                     make_type_b, min_pairing, pairing_identity_residual,
                     validate_axioms)
-from .scheme import (PathResult, SchemeConfig, audit_batch, audit_path,
-                     run_batch, theta_em_path, truncated_theta_em_path,
-                     truncation_level)
+from .scheme import SchemeConfig, audit_batch, run_batch, truncation_level
 from .stepping import (SolveReport, closed_form_step_1d, fixed_point_certificate,
                        solve_exact_step, solve_truncated_step, step_residual)
 from .timefn import ConstantFn, SqrtAffineFn, TableFn, as_timefn
@@ -36,25 +33,24 @@ from .timefn import ConstantFn, SqrtAffineFn, TableFn, as_timefn
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport", "AxiomReport", "BrownianDriver", "CallableDrift",
-    "ChamberError", "CirReport", "ConfigError", "ConstantDrift", "ConstantFn",
+    "AssumptionReport", "AxiomReport", "CallableDrift", "ChamberError",
+    "CirReport", "ConfigError", "ConstantDrift", "ConstantFn",
     "DiagonalSigma", "DimensionError", "DunklSimError", "ErrorCurve",
     "ExitReport", "ExperimentConfig", "FitError", "FitResult", "GridError",
     "IncrementReport", "LinearDrift", "LinearSigma", "MatrixSigma",
-    "ModelSpec", "MomentReport", "ParameterError", "PathResult",
-    "PathSolverError", "Root", "RootSystem", "ScalarSigma", "SchemeConfig",
-    "SchemeSettings", "SolveReport", "SolverError", "SqrtAffineFn", "TableFn",
-    "TimeGrid", "ZeroDrift", "as_timefn", "audit_batch", "audit_path",
-    "batch_increments", "bessel_model", "capped_inverse", "chamber_exit",
-    "cir_mean_check", "closed_form_step_1d", "coarsen", "coarsen_driver",
-    "diffusion_scale", "direct_sum", "dyson_model", "fit_order",
-    "fixed_point_certificate", "increment_scaling", "lipschitz_scale",
-    "load_config", "make_brownian", "make_type_a", "make_type_b",
+    "ModelSpec", "MomentReport", "ParameterError", "PathSolverError",
+    "Root", "RootSystem", "ScalarSigma", "SchemeConfig", "SchemeSettings",
+    "SolveReport", "SolverError", "SqrtAffineFn", "TableFn", "TimeGrid",
+    "ZeroDrift", "as_timefn", "audit_batch", "batch_increments",
+    "bessel_model", "capped_inverse", "chamber_exit", "cir_mean_check",
+    "closed_form_step_1d", "coarsen", "direct_sum", "dyson_model",
+    "fit_order", "fixed_point_certificate", "increment_scaling",
+    "lipschitz_scale", "load_config", "make_type_a", "make_type_b",
     "min_pairing", "moment_threshold", "negative_moments",
     "pairing_identity_residual", "parse_config", "path_rng", "run_batch",
     "sample_chamber_points", "scheme_gap", "singular_drift",
     "solve_exact_step", "solve_truncated_step", "squared_mean_ode",
-    "step_residual", "strong_error", "theta_em_path", "truncated_drift",
-    "truncated_theta_em_path", "truncation_level", "type_b_model",
-    "validate_assumptions", "validate_axioms", "wilson_interval",
+    "step_residual", "strong_error", "truncated_drift", "truncation_level",
+    "type_b_model", "validate_assumptions", "validate_axioms",
+    "wilson_interval",
 ]

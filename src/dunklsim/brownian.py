@@ -37,9 +37,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.T / self.n
 
-    def t(self, i) -> float | np.ndarray:
-        return np.asarray(i) * (self.T / self.n)
-
     @cached_property
     def times(self) -> np.ndarray:
         v = np.arange(self.n + 1) * (self.T / self.n)
@@ -60,36 +57,6 @@ def path_rng(master_seed: int, path_id: int) -> np.random.Generator:
     key = np.array([_check_seed("master_seed", master_seed),
                     _check_seed("path_id", path_id)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class BrownianDriver:
-    """Increments of an r-dimensional Brownian motion on the finest grid."""
-
-    r: int
-    finest_n: int
-    T: float
-    master_seed: int
-    path_id: int
-    increments: np.ndarray  # (finest_n, r)
-
-    @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid(n=self.finest_n, T=self.T)
-
-
-def make_brownian(r: int, finest_n: int, T: float, master_seed: int,
-                  path_id: int) -> BrownianDriver:
-    """Draw the path's increments: N(0, T/finest_n) per component."""
-    if r < 1:
-        raise ParameterError(f"Brownian dimension must be >= 1, got {r}")
-    grid = TimeGrid(n=finest_n, T=T)
-    rng = path_rng(master_seed, path_id)
-    inc = rng.standard_normal((finest_n, r)) * np.sqrt(grid.dt)
-    inc.flags.writeable = False
-    return BrownianDriver(r=r, finest_n=finest_n, T=T,
-                          master_seed=int(master_seed), path_id=int(path_id),
-                          increments=inc)
 
 
 def batch_increments(r: int, finest_n: int, T: float, master_seed: int,
@@ -126,10 +93,3 @@ def coarsen(increments: np.ndarray, factor: int) -> np.ndarray:
         else:
             groups = groups[..., 0::2, :] + groups[..., 1::2, :]
     return groups[..., 0, :]
-
-
-def coarsen_driver(driver: BrownianDriver, n: int) -> np.ndarray:
-    """Driver increments on the coarser grid with n steps (n | finest_n)."""
-    if driver.finest_n % n != 0:
-        raise GridError(f"{n} steps do not nest inside {driver.finest_n}")
-    return coarsen(driver.increments, driver.finest_n // n)

@@ -43,16 +43,26 @@ def _chunk_size(n_fine: int, r: int) -> int:
     return int(min(_MAX_CHUNK, max(BLOCK, (raw // BLOCK) * BLOCK)))
 
 
-def _for_chunks(total: int, chunk: int, threads: int, worker) -> None:
-    """Run worker(start, stop) over consecutive chunks; the split is a pure
-    function of `total`, so thread budget never changes any result."""
-    spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    if threads <= 1 or len(spans) <= 1:
-        for s, e in spans:
-            worker(s, e)
+def _map_paths(m: ModelSpec, n: int, M: int, master_seed: int, threads: int,
+               work) -> None:
+    """Run work(start, stop, increments) over consecutive chunks of paths
+    0..M-1, each with its increments on the n-step grid.  The split is a
+    pure function of (n, M, model), so thread budget never changes any
+    result."""
+    r = m.brownian_dim
+    chunk = _chunk_size(n, max(r, m.dim))
+
+    def run(start):
+        stop = min(start + chunk, M)
+        work(start, stop, batch_increments(r, n, m.T, master_seed, np.arange(start, stop)))
+
+    starts = range(0, M, chunk)
+    if threads <= 1 or len(starts) <= 1:
+        for start in starts:
+            run(start)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda se: worker(*se), spans))
+        list(pool.map(run, starts))
 
 
 def _warn_threshold(m: ModelSpec, variant: str) -> None:
@@ -108,17 +118,13 @@ def strong_error(m: ModelSpec, theta: float, n_list, n_ref: int, M: int,
             raise GridError(f"n={n} must divide n_ref={n_ref} with a power-of-two ratio")
     _warn_threshold(m, variant)
 
-    r = m.brownian_dim
     coarse = [n for n in ns if n != n_ref]
     n_max = max(coarse) if coarse else n_ref
     ref_stride = n_ref // n_max
     cfg_ref = _scheme(variant, theta, n_ref, c, solver_tol)
     sup2 = np.zeros((M, len(ns)))
-    chunk = _chunk_size(n_ref, r)
 
-    def worker(start, stop):
-        ids = np.arange(start, stop)
-        inc = batch_increments(r, n_ref, m.T, master_seed, ids)
+    def work(start, stop, inc):
         ref = run_batch(m, cfg_ref, inc, store_stride=ref_stride)
         for j, n in enumerate(ns):
             if n == n_ref:
@@ -128,7 +134,7 @@ def strong_error(m: ModelSpec, theta: float, n_list, n_ref: int, M: int,
             diff = res.states - ref.states[:, ::n_max // n]
             sup2[start:stop, j] = np.sum(diff * diff, axis=2).max(axis=1)
 
-    _for_chunks(M, chunk, threads, worker)
+    _map_paths(m, n_ref, M, master_seed, threads, work)
 
     rms, ses = [], []
     for j in range(len(ns)):
@@ -152,19 +158,15 @@ def scheme_gap(m: ModelSpec, theta: float, n: int, M: int, master_seed: int,
         raise ParameterError("need at least two paths")
     if not theta < 0.5:
         raise ParameterError("variant gap needs theta < 1/2 (exact-variant range)")
-    r = m.brownian_dim
     sup2 = np.zeros(M)
-    chunk = _chunk_size(n, r)
 
-    def worker(start, stop):
-        ids = np.arange(start, stop)
-        inc = batch_increments(r, n, m.T, master_seed, ids)
+    def work(start, stop, inc):
         a = run_batch(m, _scheme("exact", theta, n, c, solver_tol), inc)
         b = run_batch(m, _scheme("truncated", theta, n, c, solver_tol), inc)
         diff = a.states - b.states
         sup2[start:stop] = np.sum(diff * diff, axis=2).max(axis=1)
 
-    _for_chunks(M, chunk, threads, worker)
+    _map_paths(m, n, M, master_seed, threads, work)
     mean, se = path_mean_se(sup2)
     g = math.sqrt(max(float(mean), 0.0))
     return g, (float(se) / (2.0 * g) if g > 0.0 else 0.0)
@@ -219,18 +221,14 @@ def negative_moments(m: ModelSpec, p: float, theta: float, n: int, M: int,
     if p >= p_star:
         warnings.warn(f"moment order {p:g} >= threshold {p_star:g}; "
                       "estimates may diverge with M", stacklevel=2)
-    r = m.brownian_dim
     cfg = _scheme("exact", theta, n, 1.1, solver_tol)
     n_roots = m.rs.n_roots
     nblocks = -(-M // BLOCK)
     s1 = np.zeros((nblocks, n + 1, n_roots))
     s2 = np.zeros((nblocks, n + 1, n_roots))
     sup_vals = np.zeros((M, n_roots)) if pathwise_sup else None
-    chunk = _chunk_size(n, max(r, m.dim))
 
-    def worker(start, stop):
-        ids = np.arange(start, stop)
-        inc = batch_increments(r, n, m.T, master_seed, ids)
+    def work(start, stop, inc):
         res = run_batch(m, cfg, inc)
         pair = res.states @ m.rs.matrix.T          # (paths, n+1, n_roots)
         vals = pair ** (-p)
@@ -240,7 +238,7 @@ def negative_moments(m: ModelSpec, p: float, theta: float, n: int, M: int,
         if sup_vals is not None:
             sup_vals[start:stop] = vals.max(axis=1)
 
-    _for_chunks(M, chunk, threads, worker)
+    _map_paths(m, n, M, master_seed, threads, work)
 
     tot1 = pairwise_sum(s1, axis=0)
     tot2 = pairwise_sum(s2, axis=0)
@@ -281,14 +279,10 @@ def increment_scaling(m: ModelSpec, theta: float, n: int, M: int, lag_list,
         if abs(s * dt - lag) > 1e-9 * max(dt, abs(lag)):
             raise GridError(f"lag {lag} is not a multiple of dt={dt}")
         steps.append(s)
-    r = m.brownian_dim
     cfg = _scheme("exact", theta, n, 1.1, solver_tol)
     per_path = np.zeros((M, len(steps)))
-    chunk = _chunk_size(n, max(r, m.dim))
 
-    def worker(start, stop):
-        ids = np.arange(start, stop)
-        inc = batch_increments(r, n, m.T, master_seed, ids)
+    def work(start, stop, inc):
         res = run_batch(m, cfg, inc)
         st = res.states
         for j, s in enumerate(steps):
@@ -297,7 +291,7 @@ def increment_scaling(m: ModelSpec, theta: float, n: int, M: int, lag_list,
             diff = st[:, s:] - st[:, :-s]
             per_path[start:stop, j] = np.mean(np.sum(diff * diff, axis=2), axis=1)
 
-    _for_chunks(M, chunk, threads, worker)
+    _map_paths(m, n, M, master_seed, threads, work)
 
     est, se = [], []
     for j in range(len(steps)):
@@ -357,20 +351,15 @@ def chamber_exit(m: ModelSpec, theta: float, c: float, n_list, M: int,
                           fractions=(0.0,) * len(ns), ci_low=(lo,) * len(ns),
                           ci_high=(hi,) * len(ns), M=M, decay_slope=None)
     _warn_threshold(m, "truncated")
-    r = m.brownian_dim
     counts = []
     for n in ns:
         exited = np.zeros(M, dtype=bool)
         cfg = _scheme("truncated", theta, n, c, solver_tol)
-        chunk = _chunk_size(n, r)
 
-        def worker(start, stop, n_=n, cfg_=cfg):
-            ids = np.arange(start, stop)
-            inc = batch_increments(r, n_, m.T, master_seed, ids)
-            res = run_batch(m, cfg_, inc)
-            exited[start:stop] = res.exited
+        def work(start, stop, inc):
+            exited[start:stop] = run_batch(m, cfg, inc).exited
 
-        _for_chunks(M, chunk, threads, worker)
+        _map_paths(m, n, M, master_seed, threads, work)
         counts.append(int(exited.sum()))
 
     fractions = tuple(cnt / M for cnt in counts)
@@ -421,15 +410,11 @@ def cir_mean_check(k0: float, sigma0: float, lam0: float, xi: float, T: float,
     m = bessel_model(k=k0, sigma0=sigma0, lam=lam0, xi=xi, T=T)
     cfg = _scheme("exact", theta, n, 1.1, solver_tol)
     finals = np.zeros(M)
-    chunk = _chunk_size(n, 1)
 
-    def worker(start, stop):
-        ids = np.arange(start, stop)
-        inc = batch_increments(1, n, m.T, master_seed, ids)
-        res = run_batch(m, cfg, inc, store_stride=n)
-        finals[start:stop] = res.final[:, 0]
+    def work(start, stop, inc):
+        finals[start:stop] = run_batch(m, cfg, inc, store_stride=n).final[:, 0]
 
-    _for_chunks(M, chunk, threads, worker)
+    _map_paths(m, n, M, master_seed, threads, work)
     mean, se = path_mean_se(finals ** 2)
     ode = squared_mean_ode(k0, sigma0, lam0, xi, T)
     err = abs(float(mean) - ode)

@@ -130,11 +130,14 @@ def lipschitz_scale(m: ModelSpec) -> float:
     return float(np.sum(m.k_sup * m.rs.norms_sq))
 
 
-def diffusion_scale(m: ModelSpec, t: float, x=None) -> float:
-    """Scalar diffusion size at time t: max |diagonal| for square diagonal
-    forms, Frobenius norm otherwise.  Spatially dependent forms report
-    their declared bound."""
-    return float(m.sigma.bar(t))
+def _noise_lattice(m: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Times on which k is compared with the noise (a 1024-point lattice
+    joined with every breakpoint of k and sigma) and sigma's bound there."""
+    ts = time_lattice(m.T, tuple(m.k))
+    extra = np.asarray(m.sigma.breakpoints(m.T), dtype=float)
+    if extra.size:
+        ts = np.unique(np.concatenate([ts, extra]))
+    return ts, np.array([m.sigma.bar(t) for t in ts])
 
 
 def moment_threshold(m: ModelSpec) -> float:
@@ -146,11 +149,7 @@ def moment_threshold(m: ModelSpec) -> float:
     infimum is evaluated on a 1024-point lattice joined with every
     breakpoint, which is exact for constant forms.
     """
-    ts = time_lattice(m.T, tuple(m.k))
-    extra = np.asarray(m.sigma.breakpoints(m.T), dtype=float)
-    if extra.size:
-        ts = np.unique(np.concatenate([ts, extra]))
-    bar = np.array([m.sigma.bar(t) for t in ts])
+    ts, bar = _noise_lattice(m)
     if np.all(bar == 0.0):
         return math.inf
     denom = float(np.max(bar)) ** 2 if m.sigma.bar_declared else None
@@ -237,11 +236,8 @@ def validate_assumptions(m: ModelSpec, sample_count: int = 256, tol: float = 1e-
         status="pass" if math.isfinite(lip_s) else "fail",
         worst=lip_s, detail=f"Lipschitz {lip_s:g}")
 
-    ts = time_lattice(T, tuple(m.k))
-    extra = np.asarray(m.sigma.breakpoints(T), dtype=float)
-    if extra.size:
-        ts = np.unique(np.concatenate([ts, extra]))
-    bar2 = np.array([m.sigma.bar(t) for t in ts]) ** 2
+    ts, bar = _noise_lattice(m)
+    bar2 = bar ** 2
     worst_gap = -math.inf
     for fn in m.k:
         kv = np.array([float(fn(t)) for t in ts])
@@ -309,10 +305,8 @@ def bessel_model(k, sigma0=1.0, lam=0.0, xi: float = 1.0, T: float = 1.0) -> Mod
         raise ChamberError(f"start point must be positive, got {xi}")
     rs = RootSystem(dim=1, positive_roots=(tuple([1.0]),), orbits=((0,),))
     sigma = sigma0 if isinstance(sigma0, (ScalarSigma, MatrixSigma)) else ScalarSigma(as_timefn(sigma0))
-    lam_fn = as_timefn(lam)
-    drift = ZeroDrift() if getattr(lam_fn, "is_constant", False) and lam_fn(0.0) == 0.0 \
-        else LinearDrift(lam_fn)
-    return ModelSpec(rs=rs, T=T, xi=(xi,), sigma=sigma, drift=drift, k=(as_timefn(k),))
+    return ModelSpec(rs=rs, T=T, xi=(xi,), sigma=sigma, drift=_rate_drift(lam),
+                     k=(as_timefn(k),))
 
 
 def dyson_model(d: int, k, sigma=1.0, drift: DriftSpec | None = None,
@@ -321,9 +315,7 @@ def dyson_model(d: int, k, sigma=1.0, drift: DriftSpec | None = None,
     rs = make_type_a(d)
     if xi is None:
         xi = tuple(float(d - 1 - 2 * i) / 2.0 for i in range(d))
-    sig = sigma if not isinstance(sigma, (int, float)) and not _is_timefn(sigma) \
-        else ScalarSigma(as_timefn(sigma))
-    return ModelSpec(rs=rs, T=T, xi=tuple(xi), sigma=sig,
+    return ModelSpec(rs=rs, T=T, xi=tuple(xi), sigma=_scalar_sigma(sigma),
                      drift=drift if drift is not None else ZeroDrift(),
                      k=(as_timefn(k),))
 
@@ -335,13 +327,24 @@ def type_b_model(d: int, k_long, k_short, sigma=1.0, lam=0.0,
     rs = make_type_b(d)
     if xi is None:
         xi = tuple(float(d - i) for i in range(d))
-    sig = sigma if not isinstance(sigma, (int, float)) and not _is_timefn(sigma) \
-        else ScalarSigma(as_timefn(sigma))
-    lam_fn = as_timefn(lam)
-    drift = ZeroDrift() if getattr(lam_fn, "is_constant", False) and lam_fn(0.0) == 0.0 \
-        else LinearDrift(lam_fn)
-    return ModelSpec(rs=rs, T=T, xi=tuple(xi), sigma=sig, drift=drift,
+    return ModelSpec(rs=rs, T=T, xi=tuple(xi), sigma=_scalar_sigma(sigma),
+                     drift=_rate_drift(lam),
                      k=(as_timefn(k_long), as_timefn(k_short)))
+
+
+def _rate_drift(lam) -> DriftSpec:
+    """Drift lam(t) x, or ZeroDrift when lam is the constant 0."""
+    lam_fn = as_timefn(lam)
+    if getattr(lam_fn, "is_constant", False) and lam_fn(0.0) == 0.0:
+        return ZeroDrift()
+    return LinearDrift(lam_fn)
+
+
+def _scalar_sigma(sigma) -> SigmaSpec:
+    """Numbers and time functions become ScalarSigma; descriptors pass through."""
+    if isinstance(sigma, (int, float)) or _is_timefn(sigma):
+        return ScalarSigma(as_timefn(sigma))
+    return sigma
 
 
 def _is_timefn(x) -> bool:

@@ -12,9 +12,13 @@ eps-capped version for the truncated variant (theta in [0, 1), cap level
 eps_n = c sqrt(L dt) with c > 1, states may leave the chamber and the
 first violation is recorded rather than raised).
 
-The batched engine advances every path of a chunk in lockstep; per-path
-arithmetic is elementwise, so results are independent of batch
-composition, chunk size and thread budget.
+`run_batch` is the only way to simulate: it advances a batch of paths in
+lockstep from their increments (`brownian.batch_increments`), and a
+single path is a batch of one (`path_ids=np.array([i])`).  Per-path
+arithmetic is elementwise, so a row of a multi-row batch does not depend
+on which other paths share the batch; a batch of one row may differ from
+that row in the last ulp on systems with more than one root, because a
+one-row matrix product sums in a different order.
 """
 from __future__ import annotations
 
@@ -23,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import BrownianDriver, TimeGrid, coarsen_driver
+from .brownian import TimeGrid
 from .coefficients import ZeroDrift
-from .errors import (ChamberError, DimensionError, GridError, ParameterError,
-                     PathSolverError)
+from .errors import DimensionError, GridError, ParameterError, PathSolverError
 from .model import ModelSpec, lipschitz_scale
 from .roots import RootSystem
-from .stepping import _certificate, _newton_batch
+from .stepping import _fixed_point_batch, _newton_batch
 
 VARIANTS = ("exact", "truncated")
 
@@ -60,17 +63,6 @@ class SchemeConfig:
             raise ParameterError("solver tolerance must be positive")
         if self.max_iterations < 1:
             raise ParameterError("need at least one solver iteration")
-
-
-@dataclass(frozen=True)
-class PathResult:
-    """A single simulated path on the scheme's grid."""
-
-    states: np.ndarray            # (n+1, d)
-    times: np.ndarray             # (n+1,)
-    in_chamber: np.ndarray        # (n+1,) bool
-    first_violation_index: int | None
-    iterations: np.ndarray        # (n,) solver iterations per step
 
 
 class BatchPaths:
@@ -162,12 +154,7 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
 
         kv = kvg[l + 1]
         if truncated:
-            m_star, _rho, _b0 = _certificate(rs, kv, h, eps, cfg.solver_tol)
-            y = xhat.copy()
-            for _ in range(m_star):
-                py = y @ a.T
-                y = xhat + h * ((kv / np.maximum(eps, py)) @ a)
-            x = y
+            x, m_star, _b0 = _fixed_point_batch(rs, kv, xhat, h, eps, cfg.solver_tol)
             if iter_rec is not None:
                 iter_rec[:, l] = m_star
             pmin = (x @ a.T).min(axis=1)
@@ -205,38 +192,6 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
                       iterations=iter_rec, final=x)
 
 
-def _single_path(m: ModelSpec, cfg: SchemeConfig, driver: BrownianDriver) -> PathResult:
-    if driver.r != m.brownian_dim:
-        raise DimensionError(
-            f"driver dimension {driver.r} != model Brownian dimension {m.brownian_dim}")
-    if driver.T != m.T:
-        raise GridError(f"driver horizon {driver.T} != model horizon {m.T}")
-    inc = coarsen_driver(driver, cfg.n)[None, :, :]
-    batch = run_batch(m, cfg, inc, record_flags=True, record_iterations=True)
-    fv = int(batch.first_violation[0])
-    return PathResult(states=batch.states[0],
-                      times=TimeGrid(cfg.n, m.T).times,
-                      in_chamber=batch.in_chamber[0],
-                      first_violation_index=None if fv < 0 else fv,
-                      iterations=batch.iterations[0])
-
-
-def theta_em_path(m: ModelSpec, cfg: SchemeConfig, driver: BrownianDriver) -> PathResult:
-    """Exact-variant path; every state is strictly inside the chamber."""
-    if cfg.variant != "exact":
-        raise ParameterError("theta_em_path runs the exact variant; got " + cfg.variant)
-    return _single_path(m, cfg, driver)
-
-
-def truncated_theta_em_path(m: ModelSpec, cfg: SchemeConfig,
-                            driver: BrownianDriver) -> PathResult:
-    """Capped-variant path; chamber violations are recorded, never raised."""
-    if cfg.variant != "truncated":
-        raise ParameterError("truncated_theta_em_path runs the truncated variant; got "
-                             + cfg.variant)
-    return _single_path(m, cfg, driver)
-
-
 def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
                 states: np.ndarray) -> np.ndarray:
     """Residuals of the defining step equations along stored paths.
@@ -272,10 +227,3 @@ def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
         wy = kvg[l + 1] / (np.maximum(eps, py) if truncated else py)
         out[:, l] = np.linalg.norm(y - xhat - h * (wy @ a), axis=1)
     return out
-
-
-def audit_path(m: ModelSpec, cfg: SchemeConfig, driver: BrownianDriver,
-               result: PathResult) -> np.ndarray:
-    """Per-step equation residuals of a single PathResult."""
-    inc = coarsen_driver(driver, cfg.n)[None, :, :]
-    return audit_batch(m, cfg, inc, result.states[None, :, :])[0]

@@ -18,9 +18,11 @@ fixed a priori by the geometric error certificate
     |y_star - y_m| <= eps * sum(k |alpha|) / (L (1 - rho)) * rho^m,
     rho = L h / eps^2.
 
-Batched variants advance many paths in lockstep; per-path results are
-identical to solo execution, so ensemble results never depend on batch
-composition.
+The public solvers take one predictor and serve as the reference for the
+batched cores below, which advance a whole batch of predictors in
+lockstep for `scheme.run_batch`; every per-path update is elementwise,
+so a path's step does not depend on the other paths of a multi-row
+batch.
 """
 from __future__ import annotations
 

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklsim import GridError, ParameterError
-from dunklsim.brownian import (
-    batch_increments,
-    coarsen,
-    coarsen_driver,
-    make_brownian,
-    path_rng,
-)
+from dunklsim.brownian import TimeGrid, batch_increments, coarsen, path_rng
 from dunklsim.reductions import (
     BLOCK,
     block_partials,
@@ -26,16 +20,21 @@ from dunklsim.reductions import (
 # ---------------------------------------------------------------------------
 # keyed generators
 
+def _one(r, n, T, seed, path_id):
+    """Increments of a single path: a batch of one id."""
+    return batch_increments(r, n, T, seed, np.array([path_id]))[0]
+
+
 def test_same_key_reproduces_bitwise():
-    a = make_brownian(2, 64, 1.0, 12345, 7).increments
-    b = make_brownian(2, 64, 1.0, 12345, 7).increments
+    a = _one(2, 64, 1.0, 12345, 7)
+    b = _one(2, 64, 1.0, 12345, 7)
     assert np.array_equal(a, b)
 
 
 def test_distinct_paths_and_seeds_differ():
-    base = make_brownian(1, 64, 1.0, 12345, 7).increments
-    assert not np.array_equal(base, make_brownian(1, 64, 1.0, 12345, 8).increments)
-    assert not np.array_equal(base, make_brownian(1, 64, 1.0, 54321, 7).increments)
+    base = _one(1, 64, 1.0, 12345, 7)
+    assert not np.array_equal(base, _one(1, 64, 1.0, 12345, 8))
+    assert not np.array_equal(base, _one(1, 64, 1.0, 54321, 7))
 
 
 def test_batch_rows_match_single_paths():
@@ -43,8 +42,7 @@ def test_batch_rows_match_single_paths():
     batch = batch_increments(3, 32, 2.0, 99, ids)
     assert batch.shape == (6, 32, 3)
     for i in (0, 3, 5):
-        single = make_brownian(3, 32, 2.0, 99, i).increments
-        assert np.array_equal(batch[i], single)
+        assert np.array_equal(batch[i], _one(3, 32, 2.0, 99, i))
 
 
 def test_seed_range_validated():
@@ -63,16 +61,16 @@ def test_increment_variance_matches_grid():
 
 
 def test_grid_times_and_dt():
-    d = make_brownian(1, 8, 2.0, 0, 0)
-    assert d.grid.times == pytest.approx(np.linspace(0.0, 2.0, 9))
-    assert d.grid.dt == pytest.approx(0.25)
+    grid = TimeGrid(8, 2.0)
+    assert grid.times == pytest.approx(np.linspace(0.0, 2.0, 9))
+    assert grid.dt == pytest.approx(0.25)
 
 
 # ---------------------------------------------------------------------------
 # coarsening
 
 def test_coarsen_identity_and_copy():
-    x = make_brownian(2, 16, 1.0, 5, 0).increments
+    x = _one(2, 16, 1.0, 5, 0)
     y = coarsen(x, 1)
     assert np.array_equal(x, y)
     y[0, 0] = 1e9
@@ -89,23 +87,16 @@ def test_coarsen_rejects_non_divisor():
 
 def test_coarsen_endpoint_invariant_bitwise():
     # pairwise trees make B(T) independent of the resolution it is summed at
-    x = make_brownian(3, 256, 1.0, 77, 4).increments
+    x = _one(3, 256, 1.0, 77, 4)
     end = pairwise_sum(x, axis=0)
     for f in (2, 4, 16, 256):
         assert np.array_equal(end, pairwise_sum(coarsen(x, f), axis=0))
 
 
 def test_coarsen_composition_bitwise():
-    x = make_brownian(2, 512, 1.0, 77, 9).increments
+    x = _one(2, 512, 1.0, 77, 9)
     assert np.array_equal(coarsen(coarsen(x, 2), 4), coarsen(x, 8))
     assert np.array_equal(coarsen(coarsen(x, 8), 8), coarsen(x, 64))
-
-
-def test_coarsen_driver_matches_manual():
-    d = make_brownian(2, 64, 1.0, 31, 2)
-    assert np.array_equal(coarsen_driver(d, 16), coarsen(d.increments, 4))
-    with pytest.raises(GridError):
-        coarsen_driver(d, 48)
 
 
 def test_coarsened_variance_scales():

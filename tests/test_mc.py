@@ -1,4 +1,5 @@
 """Monte Carlo drivers: error curves, fits, moments, exits, mean checks."""
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,9 @@ from dunklsim import (
     type_b_model,
     wilson_interval,
 )
+from dunklsim import mc
 from dunklsim.brownian import batch_increments, coarsen
+from dunklsim.reductions import BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +92,54 @@ def test_strong_error_thread_invariant_bitwise():
     for other in runs[1:]:
         assert runs[0].rms_errors == other.rms_errors
         assert runs[0].std_errors == other.std_errors
+
+
+NEAR_WALL_B2 = dict(k_long=5.0, k_short=5.0, xi=(0.6, 0.3))
+
+# every estimator as (M, master_seed, threads) -> result, on small grids
+ESTIMATORS = {
+    "strong_error": lambda M, s, t: strong_error(
+        dyson_model(2, k=4.0), 0.25, [4, 8], 16, M, s, threads=t),
+    "scheme_gap": lambda M, s, t: scheme_gap(
+        type_b_model(2, **NEAR_WALL_B2), 0.0, 8, M, s, threads=t),
+    "negative_moments": lambda M, s, t: negative_moments(
+        dyson_model(2, k=4.0), 2.0, 0.25, 8, M, s, pathwise_sup=True, threads=t),
+    "increment_scaling": lambda M, s, t: increment_scaling(
+        dyson_model(2, k=4.0), 0.0, 8, M, [1 / 8, 2 / 8, 4 / 8], s, threads=t),
+    "chamber_exit": lambda M, s, t: chamber_exit(
+        type_b_model(2, **NEAR_WALL_B2), 0.0, 1.1, [8, 16], M, s, threads=t),
+    "cir_mean_check": lambda M, s, t: cir_mean_check(
+        1.0, 1.0, 0.5, 1.0, 1.0, theta=0.0, n=8, M=M, master_seed=s, threads=t),
+}
+
+
+def _bits(result):
+    """Exact bytes of every field of an estimator result."""
+    fields = (dataclasses.astuple(result) if dataclasses.is_dataclass(result)
+              else result)
+    return [f.encode() if isinstance(f, str) else
+            None if f is None else np.asarray(f, dtype=float).tobytes()
+            for f in fields]
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_thread_pool_matches_serial_bitwise(name, monkeypatch):
+    # one-block chunks and M = 2 blocks + 1: three chunks, the last one a
+    # single path, so threads > 1 really run on the pool
+    monkeypatch.setattr(mc, "_MAX_CHUNK", BLOCK)
+    sizes = []
+    draw = mc.batch_increments
+
+    def counted(r, n, T, seed, ids):
+        sizes.append(len(ids))
+        return draw(r, n, T, seed, ids)
+
+    monkeypatch.setattr(mc, "batch_increments", counted)
+    run = ESTIMATORS[name]
+    M = 2 * BLOCK + 1
+    serial = run(M, 5, 1)
+    assert sorted(set(sizes)) == [1, BLOCK] and sum(sizes) % M == 0
+    assert _bits(run(M, 5, 3)) == _bits(serial)
 
 
 def test_gap_tiny_deep_in_chamber_and_real_near_wall():

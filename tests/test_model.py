@@ -23,7 +23,6 @@ from dunklsim import (
     ZeroDrift,
     bessel_model,
     capped_inverse,
-    diffusion_scale,
     dyson_model,
     lipschitz_scale,
     make_type_a,
@@ -187,15 +186,15 @@ def test_lipschitz_scale_oracles():
 
 def test_diffusion_scale_forms():
     m = bessel_model(k=1.0, sigma0=2.0)
-    assert diffusion_scale(m, 0.0) == 2.0
+    assert m.sigma.bar(0.0) == 2.0
     md = ModelSpec(rs=make_type_a(2), T=1.0, xi=(1.0, -1.0),
                    sigma=MatrixSigma(((2.0, 0.0), (0.0, -3.0))),
                    drift=ZeroDrift(), k=(1.0,))
-    assert diffusion_scale(md, 0.0) == 3.0          # max |diagonal|
+    assert md.sigma.bar(0.0) == 3.0          # max |diagonal|
     mf = ModelSpec(rs=make_type_a(2), T=1.0, xi=(1.0, -1.0),
                    sigma=MatrixSigma(((1.0, 1.0), (0.0, 1.0))),
                    drift=ZeroDrift(), k=(1.0,))
-    assert diffusion_scale(mf, 0.0) == pytest.approx(math.sqrt(3.0))  # Frobenius
+    assert mf.sigma.bar(0.0) == pytest.approx(math.sqrt(3.0))  # Frobenius
 
 
 def test_moment_threshold_oracles():

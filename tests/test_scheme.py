@@ -8,17 +8,14 @@ from dunklsim import (
     ParameterError,
     SchemeConfig,
     audit_batch,
-    audit_path,
     bessel_model,
     closed_form_step_1d,
     dyson_model,
     run_batch,
-    theta_em_path,
-    truncated_theta_em_path,
     truncation_level,
     type_b_model,
 )
-from dunklsim.brownian import batch_increments, make_brownian
+from dunklsim.brownian import batch_increments
 
 IDS = np.arange(8, dtype=np.uint64)
 
@@ -72,11 +69,11 @@ def test_zero_noise_limit_value():
 
 def test_zero_noise_path_increasing():
     m = bessel_model(k=1.0, sigma0=0.0)
-    pr = theta_em_path(m, SchemeConfig(variant="exact", theta=0.25, n=64),
-                       make_brownian(1, 64, 1.0, 0, 0))
-    x = pr.states[:, 0]
+    out = run_batch(m, SchemeConfig(variant="exact", theta=0.25, n=64),
+                    batch_increments(1, 64, 1.0, 0, np.array([0])))
+    x = out.states[0, :, 0]
     assert np.all(np.diff(x) > 0)
-    assert pr.first_violation_index is None
+    assert out.first_violation[0] == -1
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +110,8 @@ def test_single_path_matches_batch_row():
     m = dyson_model(2, k=4.0)
     cfg = SchemeConfig(variant="exact", theta=0.25, n=32)
     out = run_batch(m, cfg, batch_increments(2, 32, m.T, 11, IDS))
-    pr = theta_em_path(m, cfg, make_brownian(2, 32, m.T, 11, 5))
-    assert np.array_equal(pr.states, out.states[5])
+    one = run_batch(m, cfg, batch_increments(2, 32, m.T, 11, np.array([5])))
+    assert np.array_equal(one.states[0], out.states[5])
 
 
 def test_store_stride_subsamples():
@@ -139,13 +136,13 @@ def test_audit_residuals_within_tolerance():
         assert res.max() <= cfg.solver_tol
 
 
-def test_audit_path_matches_batch():
+def test_audit_single_path_batch():
     m = dyson_model(2, k=4.0)
     cfg = SchemeConfig(variant="exact", theta=0.0, n=16)
-    d = make_brownian(2, 16, m.T, 21, 3)
-    pr = theta_em_path(m, cfg, d)
-    res = audit_path(m, cfg, d, pr)
-    assert res.shape == (16,)
+    inc = batch_increments(2, 16, m.T, 21, np.array([3]))
+    out = run_batch(m, cfg, inc)
+    res = audit_batch(m, cfg, inc, out.states)
+    assert res.shape == (1, 16)
     assert res.max() <= cfg.solver_tol
 
 
@@ -179,9 +176,12 @@ def test_truncated_records_violations_without_raising():
 def test_truncated_single_path_variant():
     m = bessel_model(k=1.0, xi=0.05)
     cfg = SchemeConfig(variant="truncated", theta=0.5, n=64)
-    pr = truncated_theta_em_path(m, cfg, make_brownian(1, 64, m.T, 77, 1))
-    assert pr.states.shape == (65, 1)
-    assert np.isfinite(pr.states).all()
+    out = run_batch(m, cfg, batch_increments(1, 64, m.T, 77, np.array([1])),
+                    record_flags=True)
+    assert out.states.shape == (1, 65, 1)
+    assert np.isfinite(out.states).all()
+    fv = out.first_violation[0]
+    assert out.in_chamber[0].all() == (fv == -1)
 
 
 def test_iterations_recorded():

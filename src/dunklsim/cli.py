@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -196,11 +197,15 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
     return results, files, ok
 
 
-def _validation_dict(ax, rep) -> dict:
-    def cr(c):
-        return {"status": c.status, "worst": c.worst, "samples": c.samples,
-                "detail": c.detail}
+# The five assumption checks of a report: field name and printed label.
+_ASSUMPTION_CHECKS = (("drift_regular", "drift regularity"),
+                      ("sigma_regular", "diffusion regularity"),
+                      ("strength_dominates_noise", "repulsion dominates noise"),
+                      ("drift_alignment", "drift chamber alignment"),
+                      ("pairing_identity", "weighted pairing identity"))
 
+
+def _validation_dict(ax, rep) -> dict:
     return {
         "axioms": {
             "passed": ax.passed,
@@ -209,11 +214,7 @@ def _validation_dict(ax, rep) -> dict:
             "worst_reflection_residual": ax.worst_reflection_residual,
         },
         "assumptions": {
-            "drift_regular": cr(rep.drift_regular),
-            "sigma_regular": cr(rep.sigma_regular),
-            "strength_dominates_noise": cr(rep.strength_dominates_noise),
-            "drift_alignment": cr(rep.drift_alignment),
-            "pairing_identity": cr(rep.pairing_identity),
+            **{name: asdict(getattr(rep, name)) for name, _ in _ASSUMPTION_CHECKS},
             "alignment_bound": rep.alignment_bound,
         },
         "passed": ax.passed and rep.all_ok(),
@@ -320,17 +321,25 @@ def cmd_validate(args) -> int:
 
     print(f"axioms                    : {'PASS' if ax.passed else 'FAIL'} "
           f"(worst reflection residual {ax.worst_reflection_residual:.3g})")
-    for label, check in (("drift regularity", rep.drift_regular),
-                         ("diffusion regularity", rep.sigma_regular),
-                         ("repulsion dominates noise", rep.strength_dominates_noise),
-                         ("drift chamber alignment", rep.drift_alignment),
-                         ("weighted pairing identity", rep.pairing_identity)):
+    for name, label in _ASSUMPTION_CHECKS:
+        check = getattr(rep, name)
         tag = {"pass": "PASS", "sampled-pass": "PASS (sampled)",
                "fail": "FAIL"}[check.status]
         print(f"{label:<26}: {tag} ({check.detail})")
     overall = ax.passed and rep.all_ok()
     print(f"overall                   : {'PASS' if overall else 'FAIL'}")
     return 0 if overall else 2
+
+
+def _positive(kind):
+    """argparse type: a positive finite `kind`, as the config requires."""
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as an invalid value
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate",
                            help="check root-system axioms and model assumptions")
     p_val.add_argument("config", help="path to a JSON config")
-    p_val.add_argument("--samples", type=int, default=256,
-                       help="interior sample points for the identity check")
-    p_val.add_argument("--tol", type=float, default=1e-8,
-                       help="relative tolerance for the identity check")
+    p_val.add_argument("--samples", type=_positive(int), default=256,
+                       help="interior sample points for the identity check (>= 1)")
+    p_val.add_argument("--tol", type=_positive(float), default=1e-8,
+                       help="relative tolerance for the identity check (> 0)")
     p_val.set_defaults(func=cmd_validate)
     return parser
 

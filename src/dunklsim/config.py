@@ -52,6 +52,16 @@ def _expect_keys(obj: dict, path: str, required: dict, optional: dict,
     return True
 
 
+def _block(raw: dict, key: str, required: dict, optional: dict,
+           probs: _Problems) -> dict | None:
+    """Top-level block `key` with its keys checked; None, with at most one
+    problem, when it is absent (reported by the top-level check) or not an object."""
+    if key not in raw:
+        return None
+    obj = raw[key]
+    return obj if _expect_keys(obj, f"$.{key}", required, optional, probs) else None
+
+
 def _number(obj, path, probs, lo=None, hi=None, lo_strict=False) -> float | None:
     if not isinstance(obj, (int, float)) or isinstance(obj, bool) or not math.isfinite(obj):
         probs.add(path, "expected a finite number")
@@ -226,12 +236,10 @@ class SchemeSettings:
     theta: float
     c: float = 1.1
     solver_tol: float = 1e-10
-    max_iterations: int = 200
 
     def resolve(self, n: int) -> SchemeConfig:
         return SchemeConfig(variant=self.variant, theta=self.theta, n=n, c=self.c,
-                            solver_tol=self.solver_tol,
-                            max_iterations=self.max_iterations)
+                            solver_tol=self.solver_tol)
 
 
 @dataclass(frozen=True)
@@ -286,10 +294,10 @@ def parse_config(text: str) -> ExperimentConfig:
                  {}, probs)
 
     model = None
-    mobj = raw.get("model")
-    if _expect_keys(mobj if isinstance(mobj, dict) else {}, "$.model",
-                    {"root_system": 1, "T": 1, "xi": 1, "sigma": 1, "drift": 1, "k": 1},
-                    {}, probs) and isinstance(mobj, dict):
+    mobj = _block(raw, "model",
+                  {"root_system": 1, "T": 1, "xi": 1, "sigma": 1, "drift": 1, "k": 1},
+                  {}, probs)
+    if mobj is not None:
         rs = _root_system(mobj.get("root_system"), "$.model.root_system", probs)
         T = _number(mobj.get("T"), "$.model.T", probs, lo=0.0, lo_strict=True)
         xi = mobj.get("xi")
@@ -315,11 +323,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 probs.add("$.model", str(exc))
 
     scheme = None
-    sobj = raw.get("scheme")
-    if _expect_keys(sobj if isinstance(sobj, dict) else {}, "$.scheme",
-                    {"variant": 1, "theta": 1},
-                    {"c": 1, "solver_tol": 1, "max_iterations": 1}, probs) \
-            and isinstance(sobj, dict):
+    sobj = _block(raw, "scheme", {"variant": 1, "theta": 1},
+                  {"c": 1, "solver_tol": 1}, probs)
+    if sobj is not None:
         variant = sobj.get("variant")
         if variant not in VARIANTS:
             probs.add("$.scheme.variant", f"expected one of {VARIANTS}")
@@ -328,14 +334,11 @@ def parse_config(text: str) -> ExperimentConfig:
         c = _number(sobj.get("c", 1.1), "$.scheme.c", probs)
         tol = _number(sobj.get("solver_tol", 1e-10), "$.scheme.solver_tol", probs,
                       lo=0.0, lo_strict=True)
-        mi = _integer(sobj.get("max_iterations", 200), "$.scheme.max_iterations",
-                      probs, lo=1)
-        if None not in (variant, theta, c, tol, mi):
+        if None not in (variant, theta, c, tol):
             try:
-                SchemeConfig(variant=variant, theta=theta, n=1, c=c,
-                             solver_tol=tol, max_iterations=mi)
+                SchemeConfig(variant=variant, theta=theta, n=1, c=c, solver_tol=tol)
                 scheme = SchemeSettings(variant=variant, theta=theta, c=c,
-                                        solver_tol=tol, max_iterations=mi)
+                                        solver_tol=tol)
             except DunklSimError as exc:
                 probs.add("$.scheme", str(exc))
 
@@ -380,11 +383,10 @@ def parse_config(text: str) -> ExperimentConfig:
     master_seed = None
     output_dir = "results"
     threads = 1
-    robj = raw.get("run")
-    if _expect_keys(robj if isinstance(robj, dict) else {}, "$.run",
-                    {"master_seed": 1},
-                    {"M": 1, "n": 1, "n_list": 1, "n_ref": 1, "output_dir": 1,
-                     "threads": 1}, probs) and isinstance(robj, dict):
+    robj = _block(raw, "run", {"master_seed": 1},
+                  {"M": 1, "n": 1, "n_list": 1, "n_ref": 1, "output_dir": 1,
+                   "threads": 1}, probs)
+    if robj is not None:
         master_seed = _integer(robj.get("master_seed"), "$.run.master_seed",
                                probs, lo=0, hi=_U64 - 1)
         if "M" in robj:
@@ -410,7 +412,7 @@ def parse_config(text: str) -> ExperimentConfig:
             threads = _integer(robj.get("threads"), "$.run.threads", probs, lo=1) or 1
 
     if kind is not None:
-        for need in _RUN_NEEDS[kind]:
+        for need in _RUN_NEEDS[kind] if robj is not None else ():
             have = {"M": M, "n": n, "n_list": n_list, "n_ref": n_ref}[need]
             if have is None:
                 probs.add(f"$.run.{need}", f"required by the {kind} experiment")

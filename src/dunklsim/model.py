@@ -6,10 +6,14 @@ A model couples a positive root system with time-dependent data
             + sum_alpha k(t, alpha) / <alpha, X> alpha dt,   X(0) = xi,
 
 where the repulsion strength k is positive and constant on each orbit.
-This module provides the repulsion drift and its capped version, the
-constants controlling well-posedness of the numerics (Lipschitz scale,
+This module provides the repulsion drift f and its capped version f_eps,
+the constants controlling well-posedness of the numerics (Lipschitz scale,
 negative-moment threshold), assumption checking, and the classic presets
 (squared-Bessel-type in d = 1, Dyson-type for A(d), and type B).
+
+`repulsion` is the only definition of the weighted root sum behind f and
+f_eps: the drift functions here, the step solvers in `stepping` and the
+engine and audit in `scheme` all call it.
 """
 from __future__ import annotations
 
@@ -37,6 +41,13 @@ def capped_inverse(eps: float, s):
     s = np.asarray(s, dtype=float)
     out = 1.0 / np.maximum(eps, s)
     return float(out) if out.ndim == 0 else out
+
+
+def repulsion(a: np.ndarray, kv: np.ndarray, p: np.ndarray, eps: float | None = None):
+    """f = sum_alpha kv_alpha / <alpha, y> alpha from the pairings p = y @ a.T,
+    or f_eps with every pairing capped below at eps.  Unvalidated: it runs
+    in the solvers' inner loops, whose callers also need p itself."""
+    return (kv / (p if eps is None else np.maximum(eps, p))) @ a
 
 
 @dataclass(frozen=True)
@@ -86,10 +97,11 @@ class ModelSpec:
     def xi_array(self) -> np.ndarray:
         return np.asarray(self.xi, dtype=float)
 
-    def k_at(self, t: float) -> np.ndarray:
-        """Per-root repulsion strengths at time t."""
-        per_orbit = np.array([float(fn(t)) for fn in self.k])
-        return per_orbit[self.rs.orbit_of]
+    def k_at(self, t) -> np.ndarray:
+        """Per-root repulsion strengths at time t, shape (..., n_roots) for
+        a scalar or an array of times."""
+        per_orbit = np.stack([np.asarray(fn(t), dtype=float) for fn in self.k], axis=-1)
+        return per_orbit[..., self.rs.orbit_of]
 
     @cached_property
     def k_sup(self) -> np.ndarray:
@@ -108,8 +120,7 @@ def singular_drift(m: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
     p = m.rs.pairings(x)
     if np.min(p) <= 0.0:
         raise ChamberError("singular drift evaluated outside the open chamber")
-    w = m.k_at(t) / p
-    return w @ m.rs.matrix
+    return repulsion(m.rs.matrix, m.k_at(t), p)
 
 
 def truncated_drift(m: ModelSpec, t: float, x: np.ndarray, eps: float) -> np.ndarray:
@@ -119,9 +130,7 @@ def truncated_drift(m: ModelSpec, t: float, x: np.ndarray, eps: float) -> np.nda
     """
     if not eps > 0.0:
         raise ParameterError(f"cap level must be positive, got {eps}")
-    p = m.rs.pairings(x)
-    w = m.k_at(t) / np.maximum(eps, p)
-    return w @ m.rs.matrix
+    return repulsion(m.rs.matrix, m.k_at(t), m.rs.pairings(x), eps)
 
 
 def lipschitz_scale(m: ModelSpec) -> float:
@@ -153,16 +162,13 @@ def moment_threshold(m: ModelSpec) -> float:
     if np.all(bar == 0.0):
         return math.inf
     denom = float(np.max(bar)) ** 2 if m.sigma.bar_declared else None
-    best = math.inf
-    for fn in m.k:
-        kv = np.array([float(fn(t)) for t in ts])
-        if denom is not None:
-            ratios = 2.0 * kv / denom
-        else:
-            with np.errstate(divide="ignore"):
-                ratios = np.where(bar > 0.0, 2.0 * kv / np.maximum(bar, 1e-300) ** 2, math.inf)
-        best = min(best, float(np.min(ratios)))
-    return best - 1.0
+    kv = m.k_at(ts).T
+    if denom is not None:
+        ratios = 2.0 * kv / denom
+    else:
+        with np.errstate(divide="ignore"):
+            ratios = np.where(bar > 0.0, 2.0 * kv / np.maximum(bar, 1e-300) ** 2, math.inf)
+    return float(np.min(ratios)) - 1.0
 
 
 def sample_chamber_points(rs: RootSystem, count: int, rng: np.random.Generator,
@@ -207,9 +213,7 @@ class AssumptionReport:
     alignment_bound: float = 0.0
 
     def all_ok(self) -> bool:
-        return all(c.ok for c in (self.drift_regular, self.sigma_regular,
-                                  self.strength_dominates_noise,
-                                  self.drift_alignment, self.pairing_identity))
+        return all(c.ok for c in vars(self).values() if isinstance(c, CheckResult))
 
 
 def validate_assumptions(m: ModelSpec, sample_count: int = 256, tol: float = 1e-8,
@@ -237,11 +241,7 @@ def validate_assumptions(m: ModelSpec, sample_count: int = 256, tol: float = 1e-
         worst=lip_s, detail=f"Lipschitz {lip_s:g}")
 
     ts, bar = _noise_lattice(m)
-    bar2 = bar ** 2
-    worst_gap = -math.inf
-    for fn in m.k:
-        kv = np.array([float(fn(t)) for t in ts])
-        worst_gap = max(worst_gap, float(np.max(bar2 - 2.0 * kv)))
+    worst_gap = float(np.max(bar ** 2 - 2.0 * m.k_at(ts).T))
     strength = CheckResult(
         status="pass" if worst_gap <= 0.0 else "fail",
         worst=max(worst_gap, 0.0), samples=len(ts),

@@ -10,7 +10,8 @@ where f is the singular repulsion drift for the exact variant (theta in
 [0, 1/2), every state strictly inside the chamber by construction) or its
 eps-capped version for the truncated variant (theta in [0, 1), cap level
 eps_n = c sqrt(L dt) with c > 1, states may leave the chamber and the
-first violation is recorded rather than raised).
+first violation is recorded rather than raised).  Both f and its capped
+form are `model.repulsion`, shared with the step solvers and the audit.
 
 `run_batch` is the only way to simulate: it advances a batch of paths in
 lockstep from their increments (`brownian.batch_increments`), and a
@@ -30,9 +31,9 @@ import numpy as np
 from .brownian import TimeGrid
 from .coefficients import ZeroDrift
 from .errors import DimensionError, GridError, ParameterError, PathSolverError
-from .model import ModelSpec, lipschitz_scale
+from .model import ModelSpec, lipschitz_scale, repulsion
 from .roots import RootSystem
-from .stepping import _fixed_point_batch, _newton_batch
+from .stepping import _fixed_point_batch, _newton_batch, _quadratic_root
 
 VARIANTS = ("exact", "truncated")
 
@@ -46,7 +47,6 @@ class SchemeConfig:
     n: int
     c: float = 1.1
     solver_tol: float = 1e-10
-    max_iterations: int = 200
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -61,8 +61,6 @@ class SchemeConfig:
             raise ParameterError(f"cap multiplier c must exceed 1, got {self.c}")
         if not self.solver_tol > 0.0:
             raise ParameterError("solver tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ParameterError("need at least one solver iteration")
 
 
 class BatchPaths:
@@ -90,11 +88,6 @@ def truncation_level(m: ModelSpec, cfg: SchemeConfig) -> float:
     return cfg.c * math.sqrt(lipschitz_scale(m) * m.T / cfg.n)
 
 
-def _k_grid(m: ModelSpec, times: np.ndarray) -> np.ndarray:
-    per_orbit = np.stack([np.asarray(fn(times), dtype=float) for fn in m.k], axis=1)
-    return per_orbit[:, m.rs.orbit_of]
-
-
 def _closed_form_ok(rs: RootSystem) -> bool:
     return rs.dim == 1 and rs.n_roots == 1 and rs.matrix[0, 0] > 0.0
 
@@ -115,7 +108,7 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     rs = m.rs
     a = rs.matrix
     d = rs.dim
-    kvg = _k_grid(m, times)
+    kvg = m.k_at(times)
     truncated = cfg.variant == "truncated"
     eps = truncation_level(m, cfg) if truncated else None
     h = (1.0 - cfg.theta) * dt
@@ -142,15 +135,11 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
             xhat += m.drift.apply(t_l, x) * dt
         if cfg.theta > 0.0:
             p = x @ a.T
-            if truncated:
-                w = kvg[l] / np.maximum(eps, p)
-            else:
-                if p.min() <= 0.0:
-                    raise PathSolverError(
-                        "exact scheme state left the chamber (corrupted input?)",
-                        step=l, path_ids=np.nonzero(p.min(axis=1) <= 0.0)[0].tolist())
-                w = kvg[l] / p
-            xhat += theta_dt * (w @ a)
+            if not truncated and p.min() <= 0.0:
+                raise PathSolverError(
+                    "exact scheme state left the chamber (corrupted input?)",
+                    step=l, path_ids=np.nonzero(p.min(axis=1) <= 0.0)[0].tolist())
+            xhat += theta_dt * repulsion(a, kvg[l], p, eps)
 
         kv = kvg[l + 1]
         if truncated:
@@ -166,14 +155,11 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
             if flags is not None:
                 flags[:, l + 1] = ~bad
         elif closed_form:
-            k1 = kv[0]
-            xh = xhat[:, 0]
-            x = ((xh + np.sqrt(xh * xh + 4.0 * h * k1)) / 2.0)[:, None]
+            x = _quadratic_root(xhat[:, 0], h, kv[0])[:, None]
             if iter_rec is not None:
                 iter_rec[:, l] = 0
         else:
-            y, iters, res, ok = _newton_batch(rs, kv, xhat, h,
-                                              cfg.solver_tol, cfg.max_iterations)
+            y, iters, res, ok = _newton_batch(rs, kv, xhat, h, cfg.solver_tol)
             if not ok.all():
                 bad_ids = np.nonzero(~ok)[0]
                 raise PathSolverError(
@@ -206,9 +192,8 @@ def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     dt = grid.dt
     times = grid.times
     a = m.rs.matrix
-    kvg = _k_grid(m, times)
-    truncated = cfg.variant == "truncated"
-    eps = truncation_level(m, cfg) if truncated else None
+    kvg = m.k_at(times)
+    eps = truncation_level(m, cfg) if cfg.variant == "truncated" else None
     h = (1.0 - cfg.theta) * dt
     zero_drift = isinstance(m.drift, ZeroDrift)
     out = np.empty((st.shape[0], cfg.n))
@@ -219,11 +204,8 @@ def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
         if not zero_drift:
             xhat += m.drift.apply(t_l, x) * dt
         if cfg.theta > 0.0:
-            p = x @ a.T
-            w = kvg[l] / (np.maximum(eps, p) if truncated else p)
-            xhat += cfg.theta * dt * (w @ a)
+            xhat += cfg.theta * dt * repulsion(a, kvg[l], x @ a.T, eps)
         y = st[:, l + 1]
-        py = y @ a.T
-        wy = kvg[l + 1] / (np.maximum(eps, py) if truncated else py)
-        out[:, l] = np.linalg.norm(y - xhat - h * (wy @ a), axis=1)
+        out[:, l] = np.linalg.norm(
+            y - xhat - h * repulsion(a, kvg[l + 1], y @ a.T, eps), axis=1)
     return out

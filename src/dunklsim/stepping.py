@@ -4,16 +4,19 @@ One scheme step must solve, for a given predictor `xhat` and weight h > 0,
 
     y = xhat + h * sum_alpha k_alpha / <alpha, y> alpha,     y in W.
 
-This is the gradient equation of the strictly convex barrier
+The sum is `model.repulsion` (f, or its capped form f_eps); every
+residual and iterate below evaluates it there.  The step is the gradient
+equation of the strictly convex barrier
 
     phi(y) = |y - xhat|^2 / 2 - h * sum_alpha k_alpha log <alpha, y>,
 
 so the chamber solution exists and is unique for every xhat in R^d.  The
 exact solver runs damped Newton on phi with a feasibility-capped line
-search.  The capped solver replaces 1/<alpha,y> by its eps-cap, which
-makes the map y -> xhat + h f_eps(y) a global contraction whenever
-h < eps^2 / L (L = sum k_alpha |alpha|^2); it iterates a number of times
-fixed a priori by the geometric error certificate
+search, for at most 200 iterations (`_NEWTON_CAP`).  The capped solver
+replaces 1/<alpha,y> by its eps-cap, which makes the map
+y -> xhat + h f_eps(y) a global contraction whenever h < eps^2 / L
+(L = sum k_alpha |alpha|^2); it iterates a number of times fixed a
+priori by the geometric error certificate
 
     |y_star - y_m| <= eps * sum(k |alpha|) / (L (1 - rho)) * rho^m,
     rho = L h / eps^2.
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChamberError, DimensionError, ParameterError, SolverError
+from .model import repulsion
 from .roots import RootSystem
 
 # Armijo slope fraction and the feasibility fraction of the distance to
@@ -39,6 +43,7 @@ from .roots import RootSystem
 _ARMIJO = 1e-4
 _WALL_FRACTION = 0.95
 _FIXED_POINT_CAP = 200_000
+_NEWTON_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,12 @@ def closed_form_step_1d(xhat: float, h: float, k: float) -> float:
         if xhat <= 0.0:
             raise ChamberError("zero-weight step needs a positive predictor")
         return float(xhat)
-    return float((xhat + math.sqrt(xhat * xhat + 4.0 * h * k)) / 2.0)
+    return float(_quadratic_root(xhat, h, k))
+
+
+def _quadratic_root(xhat, h, k):
+    """(xhat + sqrt(xhat^2 + 4 h k)) / 2 for scalars or arrays of xhat."""
+    return (xhat + np.sqrt(xhat * xhat + 4.0 * h * k)) / 2.0
 
 
 def _per_root_k(rs: RootSystem, k_orbit) -> np.ndarray:
@@ -75,13 +85,14 @@ def _per_root_k(rs: RootSystem, k_orbit) -> np.ndarray:
 
 
 def solve_exact_step(rs: RootSystem, k_orbit, xhat, h: float, tol: float = 1e-10,
-                     max_iterations: int = 200, initial=None) -> SolveReport:
+                     initial=None) -> SolveReport:
     """Solve the implicit step exactly (damped Newton on the barrier).
 
     `k_orbit` holds one positive strength per orbit (already evaluated at
     the step's time).  The residual of the report is
-    |y - xhat - h f_k(y)| <= tol.  Raises SolverError (carrying the best
-    iterate) if the tolerance is not certified within `max_iterations`.
+    |y - xhat - h f(y)| <= tol, with f evaluated by `model.repulsion`.
+    Raises SolverError (carrying the best iterate) if the tolerance is not
+    certified within 200 Newton iterations (`_NEWTON_CAP`).
     """
     if not h > 0.0:
         raise ParameterError(f"step weight must be positive, got {h}")
@@ -90,11 +101,11 @@ def solve_exact_step(rs: RootSystem, k_orbit, xhat, h: float, tol: float = 1e-10
     if xhat.shape != (rs.dim,):
         raise DimensionError(f"predictor shape {xhat.shape} != ({rs.dim},)")
     y0 = None if initial is None else np.asarray(initial, dtype=float)[None, :]
-    y, iters, res, ok = _newton_batch(rs, kv, xhat[None, :], h, tol, max_iterations, y0)
+    y, iters, res, ok = _newton_batch(rs, kv, xhat[None, :], h, tol, y0)
     wall = float(rs.pairings(y[0]).min())
     if not ok[0]:
         raise SolverError(
-            f"Newton did not certify residual {tol:g} in {max_iterations} iterations",
+            f"Newton did not certify residual {tol:g} in {_NEWTON_CAP} iterations",
             best=y[0], residual=float(res[0]), iterations=int(iters[0]))
     return SolveReport(y=y[0], iterations=int(iters[0]), residual=float(res[0]),
                        wall_distance=wall)
@@ -114,9 +125,8 @@ def solve_truncated_step(rs: RootSystem, k_orbit, xhat, h: float, eps: float,
     if xhat.shape != (rs.dim,):
         raise DimensionError(f"predictor shape {xhat.shape} != ({rs.dim},)")
     y, m_star, bound = _fixed_point_batch(rs, kv, xhat[None, :], h, eps, tol)
-    res = float(np.linalg.norm(
-        y[0] - xhat - h * ((kv / np.maximum(eps, rs.pairings(y[0]))) @ rs.matrix)))
-    return SolveReport(y=y[0], iterations=m_star, residual=res,
+    return SolveReport(y=y[0], iterations=m_star,
+                       residual=step_residual(rs, k_orbit, xhat, h, y[0], eps),
                        wall_distance=float(rs.pairings(y[0]).min()))
 
 
@@ -129,12 +139,9 @@ def step_residual(rs: RootSystem, k_orbit, xhat, h: float, y, eps: float | None 
     if eps is None:
         if np.min(p) <= 0.0:
             raise ChamberError("exact-step residual needs y strictly inside the chamber")
-        w = kv / p
-    else:
-        if not eps > 0.0:
-            raise ParameterError(f"cap level must be positive, got {eps}")
-        w = kv / np.maximum(eps, p)
-    return float(np.linalg.norm(y - xhat - h * (w @ rs.matrix), axis=-1))
+    elif not eps > 0.0:
+        raise ParameterError(f"cap level must be positive, got {eps}")
+    return float(np.linalg.norm(y - xhat - h * repulsion(rs.matrix, kv, p, eps), axis=-1))
 
 
 def fixed_point_certificate(rs: RootSystem, k_orbit, h: float, eps: float,
@@ -149,7 +156,7 @@ def fixed_point_certificate(rs: RootSystem, k_orbit, h: float, eps: float,
 
 
 def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
-                  tol: float, max_iterations: int, initial: np.ndarray | None = None):
+                  tol: float, initial: np.ndarray | None = None):
     """Damped Newton on the barrier for a batch of predictors (m, d).
 
     Returns (y, iterations, residuals, converged).  All updates are
@@ -181,14 +188,13 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
     res = np.full(m, np.inf)
     active = np.ones(m, dtype=bool)
 
-    for _ in range(max_iterations):
+    for _ in range(_NEWTON_CAP):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
         ya = y[idx]
         pa = ya @ a.T
-        wa = kv / pa
-        grad = ya - xhat[idx] - h * (wa @ a)
+        grad = ya - xhat[idx] - h * repulsion(a, kv, pa)
         r = np.sqrt(np.sum(grad * grad, axis=1))
         res[idx] = r
         done = r <= tol
@@ -198,7 +204,7 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
             idx = idx[keep]
             if idx.size == 0:
                 break
-            ya, pa, wa, grad, r = ya[keep], pa[keep], wa[keep], grad[keep], r[keep]
+            ya, pa, grad, r = ya[keep], pa[keep], grad[keep], r[keep]
         curv = kv / (pa * pa)
         hess = np.eye(d)[None] + h * np.einsum("mr,rij->mij", curv, outer)
         step = _solve_spd(hess, -grad)
@@ -226,7 +232,8 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
             # resolution of phi itself; a strict residual decrease (computed
             # on ~tol-sized numbers with full precision) then stands in for
             # the Armijo test
-            gtrial = trial - xhat[idx] - h * ((kv / np.where(ptrial > 0.0, ptrial, np.inf)) @ a)
+            gtrial = trial - xhat[idx] - h * repulsion(
+                a, kv, np.where(ptrial > 0.0, ptrial, np.inf))
             rtrial = np.sqrt(np.sum(gtrial * gtrial, axis=1))
             ok = ~accepted & feas & (
                 (phi1 <= phi0 + _ARMIJO * t * slope)
@@ -242,8 +249,7 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
     # refresh residuals for paths that converged on the last sweep
     idx = np.nonzero(active)[0]
     if idx.size:
-        pa = y[idx] @ a.T
-        grad = y[idx] - xhat[idx] - h * ((kv / pa) @ a)
+        grad = y[idx] - xhat[idx] - h * repulsion(a, kv, y[idx] @ a.T)
         res[idx] = np.sqrt(np.sum(grad * grad, axis=1))
         active[idx] = res[idx] > tol
     return y, iters, res, ~active
@@ -272,9 +278,7 @@ def _fixed_point_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: floa
     a = rs.matrix
     y = xhat.copy()
     for _ in range(m_star):
-        p = y @ a.T
-        w = kv / np.maximum(eps, p)
-        y = xhat + h * (w @ a)
+        y = xhat + h * repulsion(a, kv, y @ a.T, eps)
     return y, m_star, b0
 
 

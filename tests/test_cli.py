@@ -190,6 +190,26 @@ def test_validate_command_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("flag", [("--samples", "0"), ("--samples", "-3"),
+                                  ("--tol", "0"), ("--tol", "-1e-8")])
+def test_validate_rejects_nonpositive_flags(tmp_path, capsys, flag):
+    doc = _simulate_cfg(tmp_path)
+    doc["experiment"] = {"kind": "validate"}
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", _write(tmp_path, doc), *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+def test_solver_failure_exits_3(tmp_path, capsys):
+    doc = _simulate_cfg(tmp_path)
+    doc["scheme"]["solver_tol"] = 1e-300               # never certified
+    doc["run"].update({"M": 2, "n": 2})
+    rc = main(["run", _write(tmp_path, doc)])
+    assert rc == 3
+    assert "solver failure" in capsys.readouterr().err
+
+
 def test_run_validate_kind_fails_redly(tmp_path):
     bad = _simulate_cfg(tmp_path)
     bad["experiment"] = {"kind": "validate"}

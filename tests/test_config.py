@@ -121,6 +121,16 @@ def test_unknown_keys_rejected_with_paths():
     assert any(p.startswith("$.run") and "verbose" in p for p in probs)
     probs = _problems(_cfg(surprise={}))
     assert any(p.startswith("$") and "surprise" in p for p in probs)
+    probs = _problems(_cfg(scheme__max_iterations=50))
+    assert any(p.startswith("$.scheme") and "max_iterations" in p for p in probs)
+
+
+@pytest.mark.parametrize("block", ["model", "scheme", "experiment", "run"])
+@pytest.mark.parametrize("value, message", [(..., "missing required key"),
+                                            ([], "expected an object")])
+def test_absent_or_non_object_block_is_one_problem(block, value, message):
+    probs = _problems(_cfg(**{block: value}))
+    assert len(probs) == 1 and probs[0].startswith(f"$.{block}: {message}")
 
 
 def test_master_seed_required_and_ranged():

@@ -10,6 +10,7 @@ from dunklsim import (
     CallableDrift,
     ChamberError,
     ConstantDrift,
+    ConstantFn,
     DiagonalSigma,
     DimensionError,
     LinearDrift,
@@ -20,6 +21,7 @@ from dunklsim import (
     RootSystem,
     ScalarSigma,
     SqrtAffineFn,
+    TableFn,
     ZeroDrift,
     bessel_model,
     capped_inverse,
@@ -195,6 +197,28 @@ def test_diffusion_scale_forms():
                    sigma=MatrixSigma(((1.0, 1.0), (0.0, 1.0))),
                    drift=ZeroDrift(), k=(1.0,))
     assert mf.sigma.bar(0.0) == pytest.approx(math.sqrt(3.0))  # Frobenius
+
+
+_positive = st.floats(0.1, 10.0)
+_strength = st.one_of(
+    _positive.map(ConstantFn),
+    st.builds(SqrtAffineFn, _positive, st.floats(0.0, 5.0)),
+    st.lists(st.tuples(st.floats(-0.5, 1.5), _positive), min_size=2, max_size=6,
+             unique_by=lambda node: node[0]).map(lambda nodes: TableFn(*zip(*sorted(nodes)))),
+)
+
+
+@given(_strength, _strength, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_k_at_grid_rows_equal_scalar_calls_bitwise(k_long, k_short, times):
+    m = ModelSpec(rs=make_type_b(2), T=1.0, xi=(2.0, 1.0), sigma=ScalarSigma(1.0),
+                  drift=ZeroDrift(), k=(k_long, k_short))
+    grid = m.k_at(np.array(times))
+    assert grid.shape == (len(times), m.rs.n_roots)
+    for row, t in zip(grid, times):
+        single = m.k_at(t)
+        assert single.shape == (m.rs.n_roots,)
+        assert row.tobytes() == single.tobytes()
 
 
 def test_moment_threshold_oracles():

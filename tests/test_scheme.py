@@ -6,6 +6,7 @@ import pytest
 
 from dunklsim import (
     ParameterError,
+    PathSolverError,
     SchemeConfig,
     audit_batch,
     bessel_model,
@@ -16,6 +17,7 @@ from dunklsim import (
     type_b_model,
 )
 from dunklsim.brownian import batch_increments
+from dunklsim.stepping import _newton_batch
 
 IDS = np.arange(8, dtype=np.uint64)
 
@@ -40,6 +42,23 @@ def test_theta_range_by_variant():
         SchemeConfig(variant="bogus", theta=0.0, n=4)
     with pytest.raises(ParameterError):
         SchemeConfig(variant="truncated", theta=0.0, n=4, c=1.0)
+
+
+def test_run_batch_solver_failure_names_step_and_paths():
+    m = dyson_model(2, k=4.0)
+    cfg = SchemeConfig(variant="exact", theta=0.0, n=4, solver_tol=1e-300)
+    inc = _paths(m, cfg.n, seed=2)
+    with pytest.raises(PathSolverError) as exc:
+        run_batch(m, cfg, inc)
+    assert exc.value.step == 1
+    # a residual of exactly 0 certifies even tol = 1e-300; every other row
+    # fails, and the error must name exactly those rows
+    xhat = m.xi_array + inc[:, 0]                      # sigma = 1, no drift, theta = 0
+    _, iters, _, ok = _newton_batch(m.rs, m.k_at(0.25), xhat, 0.25, cfg.solver_tol)
+    failed = np.nonzero(~ok)[0]
+    assert failed.size and exc.value.path_ids == failed.tolist()
+    assert np.all(iters[failed] == 200)
+    assert exc.value.best.shape == (2,)
 
 
 def test_truncation_level_formula():

@@ -10,6 +10,7 @@ from dunklsim import (
     ChamberError,
     ParameterError,
     RootSystem,
+    SolverError,
     closed_form_step_1d,
     fixed_point_certificate,
     make_type_a,
@@ -52,6 +53,14 @@ def test_newton_matches_closed_form_1d(xhat, h, k):
 
 # ---------------------------------------------------------------------------
 # Newton solver, general dimension
+
+def test_exact_step_failure_reports_newton_cap():
+    with pytest.raises(SolverError) as exc:
+        solve_exact_step(make_type_a(2), [4.0], np.zeros(2), 0.25, tol=1e-300)
+    assert exc.value.iterations == 200
+    assert exc.value.best.shape == (2,)
+    assert exc.value.residual > 1e-300
+
 
 def test_symmetric_two_particle_solution():
     # h*k = 1 puts the minimizer at unit distance along the root direction

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .brownian import TimeGrid, batch_increments
-from .config import ExperimentConfig, _cir_constants, load_config
+from .config import _KINDS, ExperimentConfig, _cir_constants, load_config
 from .errors import ConfigError, DunklSimError, FitError, SolverError
 from .mc import (RATE_THRESHOLD, chamber_exit, cir_mean_check, fit_order,
                  increment_scaling, negative_moments, strong_error)
@@ -185,11 +185,8 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
                    "ode_mean": rep.ode_mean, "z_score": rep.z_score}
 
     elif cfg.kind == "validate":
-        ax = validate_axioms(m.rs)
-        rep = validate_assumptions(m, sample_count=cfg.params["samples"],
-                                   tol=cfg.params["tol"])
-        results = _validation_dict(ax, rep)
-        ok = ax.passed and rep.all_ok()
+        results = _validate(m, cfg.params["samples"], cfg.params["tol"])
+        ok = results["passed"]
 
     else:  # pragma: no cover - kinds are closed by the config parser
         raise ConfigError([f"unhandled experiment kind {cfg.kind!r}"])
@@ -205,7 +202,10 @@ _ASSUMPTION_CHECKS = (("drift_regular", "drift regularity"),
                       ("pairing_identity", "weighted pairing identity"))
 
 
-def _validation_dict(ax, rep) -> dict:
+def _validate(m, samples: int, tol: float) -> dict:
+    """Root-system axioms and model assumptions of `m`; "passed" is the verdict."""
+    ax = validate_axioms(m.rs)
+    rep = validate_assumptions(m, sample_count=samples, tol=tol)
     return {
         "axioms": {
             "passed": ax.passed,
@@ -315,20 +315,17 @@ def cmd_describe(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    m = cfg.model
-    ax = validate_axioms(m.rs)
-    rep = validate_assumptions(m, sample_count=args.samples, tol=args.tol)
-
-    print(f"axioms                    : {'PASS' if ax.passed else 'FAIL'} "
-          f"(worst reflection residual {ax.worst_reflection_residual:.3g})")
+    res = _validate(cfg.model, args.samples, args.tol)
+    ax = res["axioms"]
+    print(f"axioms                    : {'PASS' if ax['passed'] else 'FAIL'} "
+          f"(worst reflection residual {ax['worst_reflection_residual']:.3g})")
     for name, label in _ASSUMPTION_CHECKS:
-        check = getattr(rep, name)
+        check = res["assumptions"][name]
         tag = {"pass": "PASS", "sampled-pass": "PASS (sampled)",
-               "fail": "FAIL"}[check.status]
-        print(f"{label:<26}: {tag} ({check.detail})")
-    overall = ax.passed and rep.all_ok()
-    print(f"overall                   : {'PASS' if overall else 'FAIL'}")
-    return 0 if overall else 2
+               "fail": "FAIL"}[check["status"]]
+        print(f"{label:<26}: {tag} ({check['detail']})")
+    print(f"overall                   : {'PASS' if res['passed'] else 'FAIL'}")
+    return 0 if res["passed"] else 2
 
 
 def _positive(kind):
@@ -366,9 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate",
                            help="check root-system axioms and model assumptions")
     p_val.add_argument("config", help="path to a JSON config")
-    p_val.add_argument("--samples", type=_positive(int), default=256,
+    defaults = {key: default for key, (_, default) in _KINDS["validate"][0].items()}
+    p_val.add_argument("--samples", type=_positive(int), default=defaults["samples"],
                        help="interior sample points for the identity check (>= 1)")
-    p_val.add_argument("--tol", type=_positive(float), default=1e-8,
+    p_val.add_argument("--tol", type=_positive(float), default=defaults["tol"],
                        help="relative tolerance for the identity check (> 0)")
     p_val.set_defaults(func=cmd_validate)
     return parser

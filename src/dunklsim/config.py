@@ -2,26 +2,38 @@
 
 Configs are JSON objects with four blocks: model, scheme, experiment, run.
 Parsing is strict: unknown keys are rejected, the master seed is
-mandatory, and every problem found is reported at once (ConfigError
-carries the full list, one entry per problem with its JSON path).
+mandatory, and every problem found is reported at once and once only
+(ConfigError carries the full list, one entry per problem with its JSON
+path).
+
+The reader is table-driven.  A parser is a function (value, path, probs)
+that adds to `probs` what is wrong with the value at `path` and returns
+what it read (None when it read nothing usable).
+`_fields` reads one JSON object against a table {key: parser} (a required
+key) or {key: (parser, default)} (an optional one); it reports a
+non-object, each unknown key and each missing required key, and runs a
+key's parser only when the key is present.  `_object` builds a value from
+such a table once every entry parsed, and `_tagged` picks the table by the
+object's `form`, `type` or `kind` key.  Time functions, root systems,
+sigma, drift, the four blocks and the experiment kinds are tables read
+this way; `_KINDS` also lists the run sizes each experiment needs.
+The checks that relate blocks (moments needs the exact variant, the
+convergence grid rule, the cir-check model) run after the blocks are read.
 """
 from __future__ import annotations
 
+import functools
 import json
-import math
+import sys
 from dataclasses import dataclass
-from typing import Any
 
-from .coefficients import (ConstantDrift, DiagonalSigma, DriftSpec, LinearDrift,
-                           MatrixSigma, ScalarSigma, SigmaSpec, ZeroDrift)
+from .coefficients import (ConstantDrift, DiagonalSigma, LinearDrift, MatrixSigma,
+                           ScalarSigma, ZeroDrift)
 from .errors import ConfigError, DunklSimError
 from .model import ModelSpec
 from .roots import RootSystem, direct_sum, make_type_a, make_type_b
 from .scheme import SchemeConfig, VARIANTS
-from .timefn import ConstantFn, SqrtAffineFn, TableFn, TimeFn
-
-EXPERIMENT_KINDS = ("simulate", "convergence", "moments", "increments",
-                    "chamber-exit", "cir-check", "validate")
+from .timefn import ConstantFn, SqrtAffineFn, TableFn
 
 _U64 = 2 ** 64
 
@@ -33,199 +45,176 @@ class _Problems:
     def add(self, path: str, message: str) -> None:
         self.items.append(f"{path}: {message}")
 
-    def __bool__(self):
-        return bool(self.items)
+    def __len__(self):
+        return len(self.items)
 
 
-def _expect_keys(obj: dict, path: str, required: dict, optional: dict,
-                 probs: _Problems) -> bool:
-    """Check key presence/absence; returns False when obj is not a dict."""
+def _fields(obj, path: str, probs: _Problems, fields: dict) -> dict | None:
+    """Values of the JSON object `obj` read against `fields`, in table order.
+
+    A missing optional key takes its default; a value whose parser failed
+    is None.  Returns None, after one problem, when `obj` is not an object.
+    """
     if not isinstance(obj, dict):
         probs.add(path, f"expected an object, got {type(obj).__name__}")
-        return False
+        return None
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in fields:
             probs.add(f"{path}.{key}", "unknown key")
-    for key in required:
-        if key not in obj:
+    out = {}
+    for key, spec in fields.items():
+        parse, default = spec if isinstance(spec, tuple) else (spec, None)
+        if key in obj:
+            out[key] = parse(obj[key], f"{path}.{key}", probs)
+        elif not isinstance(spec, tuple):
             probs.add(f"{path}.{key}", "missing required key")
-    return True
+            out[key] = None
+        else:
+            out[key] = default
+    return out
 
 
-def _block(raw: dict, key: str, required: dict, optional: dict,
-           probs: _Problems) -> dict | None:
-    """Top-level block `key` with its keys checked; None, with at most one
-    problem, when it is absent (reported by the top-level check) or not an object."""
-    if key not in raw:
-        return None
-    obj = raw[key]
-    return obj if _expect_keys(obj, f"$.{key}", required, optional, probs) else None
+def _object(fields: dict, build=None):
+    """Parser of an object read by `_fields`.
 
-
-def _number(obj, path, probs, lo=None, hi=None, lo_strict=False) -> float | None:
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool) or not math.isfinite(obj):
-        probs.add(path, "expected a finite number")
-        return None
-    v = float(obj)
-    if lo is not None and (v <= lo if lo_strict else v < lo):
-        probs.add(path, f"must be {'>' if lo_strict else '>='} {lo}")
-        return None
-    if hi is not None and v > hi:
-        probs.add(path, f"must be <= {hi}")
-        return None
-    return v
-
-
-def _integer(obj, path, probs, lo=None, hi=None) -> int | None:
-    if not isinstance(obj, int) or isinstance(obj, bool):
-        probs.add(path, "expected an integer")
-        return None
-    if lo is not None and obj < lo:
-        probs.add(path, f"must be >= {lo}")
-        return None
-    if hi is not None and obj > hi:
-        probs.add(path, f"must be <= {hi}")
-        return None
-    return int(obj)
-
-
-def _timefn(obj, path, probs) -> TimeFn | None:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return ConstantFn(float(obj)) if math.isfinite(obj) else (
-            probs.add(path, "expected a finite number"), None)[1]
-    if not isinstance(obj, dict):
-        probs.add(path, "expected a number or a time-function object")
-        return None
-    form = obj.get("form")
-    if form == "constant":
-        if not _expect_keys(obj, path, {"form": 1, "value": 1}, {}, probs):
-            return None
-        v = _number(obj.get("value"), f"{path}.value", probs)
-        return None if v is None else ConstantFn(v)
-    if form == "affine_sqrt":
-        if not _expect_keys(obj, path, {"form": 1, "a": 1, "b": 1}, {}, probs):
-            return None
-        a = _number(obj.get("a"), f"{path}.a", probs)
-        b = _number(obj.get("b"), f"{path}.b", probs)
-        return None if a is None or b is None else SqrtAffineFn(a, b)
-    if form == "table":
-        if not _expect_keys(obj, path, {"form": 1, "t": 1, "v": 1}, {}, probs):
-            return None
-        t, v = obj.get("t"), obj.get("v")
-        if not (isinstance(t, list) and isinstance(v, list)):
-            probs.add(path, "table needs lists t and v")
+    With `build`, the result is build(*values) in table order, made only
+    when every value parsed; a DunklSimError (or the ValueError of a
+    malformed array) it raises is reported at the object's path.  Without,
+    the result is the values read.
+    """
+    def parse(obj, path, probs):
+        before = len(probs)
+        vals = _fields(obj, path, probs, fields)
+        if build is None:
+            return vals
+        if len(probs) > before:
             return None
         try:
-            return TableFn(tuple(t), tuple(v))
-        except DunklSimError as exc:
+            return build(*vals.values())
+        except (DunklSimError, ValueError) as exc:
             probs.add(path, str(exc))
             return None
-    probs.add(f"{path}.form",
-              "expected one of 'constant', 'affine_sqrt', 'table'")
-    return None
+    return parse
 
 
-def _root_system(obj, path, probs) -> RootSystem | None:
-    if not isinstance(obj, dict):
-        probs.add(path, "expected an object")
+def _tagged(tag: str, forms: dict, bare=None):
+    """Parser of an object whose `tag` key picks its form.
+
+    `forms` maps each form name to (fields, build) as taken by `_object`;
+    the tag itself is not one of the fields.  A value that is not an object
+    is handed to the parser `bare` when one is given.
+    """
+    read_tag = _one_of(tuple(forms))
+    parsers = {name: _object(fields, build) for name, (fields, build) in forms.items()}
+
+    def parse(obj, path, probs):
+        if bare is not None and not isinstance(obj, dict):
+            return bare(obj, path, probs)
+        if not isinstance(obj, dict):
+            return _fields(obj, path, probs, {})  # reports the non-object
+        form = read_tag(obj.get(tag), f"{path}.{tag}", probs)
+        if form is None:
+            return None
+        return parsers[form]({k: v for k, v in obj.items() if k != tag}, path, probs)
+    return parse
+
+
+# ---------------------------------------------------------------------------
+# parser factories
+
+def _number(lo=None, hi=None, strict=False, integer=False):
+    """A finite number (an integer when `integer`) in [lo, hi]; lo itself
+    is excluded when `strict`."""
+    def parse(v, path, probs):
+        # int/float comparison is exact, so the bound also rejects an integer
+        # too large for a float, as well as nan and inf
+        ok = isinstance(v, int) if integer else (
+            isinstance(v, (int, float)) and abs(v) <= sys.float_info.max)
+        if not ok or isinstance(v, bool):
+            probs.add(path, "expected an integer" if integer else "expected a finite number")
+        elif lo is not None and (v <= lo if strict else v < lo):
+            probs.add(path, f"must be {'>' if strict else '>='} {lo}")
+        elif hi is not None and v > hi:
+            probs.add(path, f"must be <= {hi}")
+        else:
+            return int(v) if integer else float(v)
         return None
-    rtype = obj.get("type")
-    if rtype in ("A", "B"):
-        if not _expect_keys(obj, path, {"type": 1, "d": 1}, {}, probs):
-            return None
-        d = _integer(obj.get("d"), f"{path}.d", probs, lo=2)
-        if d is None:
-            return None
-        return make_type_a(d) if rtype == "A" else make_type_b(d)
-    if rtype == "sum":
-        if not _expect_keys(obj, path, {"type": 1, "parts": 1}, {}, probs):
-            return None
-        parts = obj.get("parts")
-        if not isinstance(parts, list) or len(parts) < 2:
-            probs.add(f"{path}.parts", "expected a list of at least two systems")
-            return None
-        built = [_root_system(p, f"{path}.parts[{i}]", probs) for i, p in enumerate(parts)]
-        if any(b is None for b in built):
-            return None
-        out = built[0]
-        for b in built[1:]:
-            out = direct_sum(out, b)
-        return out
-    if rtype == "custom":
-        if not _expect_keys(obj, path, {"type": 1, "dim": 1, "roots": 1, "orbits": 1}, {}, probs):
-            return None
-        dim = _integer(obj.get("dim"), f"{path}.dim", probs, lo=1)
-        roots, orbits = obj.get("roots"), obj.get("orbits")
-        if dim is None or not isinstance(roots, list) or not isinstance(orbits, list):
-            probs.add(path, "custom system needs dim, roots, orbits")
-            return None
-        try:
-            return RootSystem(dim=dim,
-                              positive_roots=tuple(tuple(r) for r in roots),
-                              orbits=tuple(tuple(o) for o in orbits))
-        except (DunklSimError, TypeError, ValueError) as exc:
-            probs.add(path, str(exc))
-            return None
-    probs.add(f"{path}.type", "expected one of 'A', 'B', 'sum', 'custom'")
-    return None
+    return parse
 
 
-def _sigma(obj, path, probs) -> SigmaSpec | None:
-    if not isinstance(obj, dict):
-        probs.add(path, "expected an object")
+def _list(item, min_len=0):
+    """A list of at least `min_len` entries, each read by `item`; a tuple."""
+    def parse(v, path, probs):
+        if not isinstance(v, list) or len(v) < min_len:
+            probs.add(path, f"expected a list of length >= {min_len}" if min_len
+                      else "expected a list")
+            return None
+        before = len(probs)
+        out = tuple(item(e, f"{path}[{i}]", probs) for i, e in enumerate(v))
+        return out if len(probs) == before else None
+    return parse
+
+
+def _one_of(options: tuple):
+    def parse(v, path, probs):
+        if v in options:
+            return v
+        probs.add(path, f"expected one of {options}")
         return None
-    form = obj.get("form")
-    if form == "scalar_identity":
-        if not _expect_keys(obj, path, {"form": 1, "fn": 1}, {}, probs):
-            return None
-        fn = _timefn(obj.get("fn"), f"{path}.fn", probs)
-        return None if fn is None else ScalarSigma(fn)
-    if form == "diagonal":
-        if not _expect_keys(obj, path, {"form": 1, "fns": 1}, {}, probs):
-            return None
-        fns = obj.get("fns")
-        if not isinstance(fns, list) or not fns:
-            probs.add(f"{path}.fns", "expected a nonempty list")
-            return None
-        built = [_timefn(f, f"{path}.fns[{i}]", probs) for i, f in enumerate(fns)]
-        return None if any(b is None for b in built) else DiagonalSigma(tuple(built))
-    if form == "matrix":
-        if not _expect_keys(obj, path, {"form": 1, "values": 1}, {}, probs):
-            return None
-        vals = obj.get("values")
-        try:
-            return MatrixSigma(tuple(tuple(row) for row in vals))
-        except (DunklSimError, TypeError, ValueError) as exc:
-            probs.add(f"{path}.values", str(exc))
-            return None
-    probs.add(f"{path}.form", "expected one of 'scalar_identity', 'diagonal', 'matrix'")
+    return parse
+
+
+def _bool(v, path, probs):
+    if isinstance(v, bool):
+        return v
+    probs.add(path, "expected a boolean")
     return None
 
 
-def _drift(obj, path, probs) -> DriftSpec | None:
-    if not isinstance(obj, dict):
-        probs.add(path, "expected an object")
-        return None
-    form = obj.get("form")
-    if form == "zero":
-        _expect_keys(obj, path, {"form": 1}, {}, probs)
-        return ZeroDrift()
-    if form == "linear":
-        if not _expect_keys(obj, path, {"form": 1, "lambda": 1}, {}, probs):
-            return None
-        fn = _timefn(obj.get("lambda"), f"{path}.lambda", probs)
-        return None if fn is None else LinearDrift(fn)
-    if form == "constant":
-        if not _expect_keys(obj, path, {"form": 1, "values": 1}, {}, probs):
-            return None
-        vals = obj.get("values")
-        try:
-            return ConstantDrift(tuple(vals))
-        except (DunklSimError, TypeError, ValueError) as exc:
-            probs.add(f"{path}.values", str(exc))
-            return None
-    probs.add(f"{path}.form", "expected one of 'zero', 'linear', 'constant'")
+def _string(v, path, probs):
+    if isinstance(v, str) and v:
+        return v
+    probs.add(path, "expected a nonempty string")
     return None
+
+
+# ---------------------------------------------------------------------------
+# the model's ingredients
+
+def _constant_fn(v, path, probs):
+    """A bare number is a constant time function."""
+    v = _number()(v, path, probs)
+    return None if v is None else ConstantFn(v)
+
+
+_TIMEFN = _tagged("form", {
+    "constant": ({"value": _number()}, ConstantFn),
+    "affine_sqrt": ({"a": _number(), "b": _number()}, SqrtAffineFn),
+    "table": ({"t": _list(_number()), "v": _list(_number())}, TableFn),
+}, bare=_constant_fn)
+
+_ROOT_SYSTEM = _tagged("type", {
+    "A": ({"d": _number(lo=2, integer=True)}, make_type_a),
+    "B": ({"d": _number(lo=2, integer=True)}, make_type_b),
+    # a sum's parts are root systems: the lambda looks the table up when called
+    "sum": ({"parts": _list(lambda v, path, probs: _ROOT_SYSTEM(v, path, probs), 2)},
+            lambda parts: functools.reduce(direct_sum, parts)),
+    "custom": ({"dim": _number(lo=1, integer=True),
+                "roots": _list(_list(_number())),
+                "orbits": _list(_list(_number(integer=True)))}, RootSystem),
+})
+
+_SIGMA = _tagged("form", {
+    "scalar_identity": ({"fn": _TIMEFN}, ScalarSigma),
+    "diagonal": ({"fns": _list(_TIMEFN, 1)}, DiagonalSigma),
+    "matrix": ({"values": _list(_list(_number()))}, MatrixSigma),
+})
+
+_DRIFT = _tagged("form", {
+    "zero": ({}, ZeroDrift),
+    "linear": ({"lambda": _TIMEFN}, LinearDrift),
+    "constant": ({"values": _list(_number())}, ConstantDrift),
+})
 
 
 @dataclass(frozen=True)
@@ -236,6 +225,9 @@ class SchemeSettings:
     theta: float
     c: float = 1.1
     solver_tol: float = 1e-10
+
+    def __post_init__(self):
+        self.resolve(1)  # SchemeConfig rejects inadmissible values
 
     def resolve(self, n: int) -> SchemeConfig:
         return SchemeConfig(variant=self.variant, theta=self.theta, n=n, c=self.c,
@@ -258,24 +250,36 @@ class ExperimentConfig:
     raw: dict
 
 
-_EXPERIMENT_KEYS: dict[str, tuple[dict, dict]] = {
-    "simulate": ({}, {}),
-    "convergence": ({}, {}),
-    "moments": ({"p": 1}, {"pathwise_sup": 1}),
-    "increments": ({"lags": 1}, {}),
-    "chamber-exit": ({}, {}),
-    "cir-check": ({}, {}),
-    "validate": ({}, {"samples": 1, "tol": 1}),
+# Each experiment kind: its own keys, and the run sizes it needs.
+_KINDS = {
+    "simulate": ({}, ("M", "n")),
+    "convergence": ({}, ("M", "n_list", "n_ref")),
+    "moments": ({"p": _number(lo=0.0), "pathwise_sup": (_bool, False)}, ("M", "n")),
+    "increments": ({"lags": _list(_number(), 1)}, ("M", "n")),
+    "chamber-exit": ({}, ("M", "n_list")),
+    "cir-check": ({}, ("M", "n")),
+    "validate": ({"samples": (_number(lo=1, integer=True), 256),
+                  "tol": (_number(lo=0.0, strict=True), 1e-8)}, ()),
 }
 
-_RUN_NEEDS = {
-    "simulate": ("M", "n"),
-    "convergence": ("M", "n_list", "n_ref"),
-    "moments": ("M", "n"),
-    "increments": ("M", "n"),
-    "chamber-exit": ("M", "n_list"),
-    "cir-check": ("M", "n"),
-    "validate": (),
+EXPERIMENT_KINDS = tuple(_KINDS)
+
+_SIZE = _number(lo=1, integer=True)
+
+_BLOCKS = {
+    "model": _object({"root_system": _ROOT_SYSTEM, "T": _number(lo=0.0, strict=True),
+                      "xi": _list(_number()), "sigma": _SIGMA, "drift": _DRIFT,
+                      "k": _list(_TIMEFN, 1)}, ModelSpec),
+    "scheme": _object({"variant": _one_of(VARIANTS), "theta": _number(lo=0.0),
+                       "c": (_number(), 1.1),
+                       "solver_tol": (_number(lo=0.0, strict=True), 1e-10)},
+                      SchemeSettings),
+    "experiment": _tagged("kind", {kind: (fields, None)
+                                   for kind, (fields, _) in _KINDS.items()}),
+    "run": _object({"master_seed": _number(lo=0, hi=_U64 - 1, integer=True),
+                    "M": (_SIZE, None), "n": (_SIZE, None),
+                    "n_list": (_list(_SIZE, 1), None), "n_ref": (_SIZE, None),
+                    "output_dir": (_string, "results"), "threads": (_SIZE, 1)}),
 }
 
 
@@ -290,135 +294,18 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["$: top level must be an object"])
 
-    _expect_keys(raw, "$", {"model": 1, "scheme": 1, "experiment": 1, "run": 1},
-                 {}, probs)
-
-    model = None
-    mobj = _block(raw, "model",
-                  {"root_system": 1, "T": 1, "xi": 1, "sigma": 1, "drift": 1, "k": 1},
-                  {}, probs)
-    if mobj is not None:
-        rs = _root_system(mobj.get("root_system"), "$.model.root_system", probs)
-        T = _number(mobj.get("T"), "$.model.T", probs, lo=0.0, lo_strict=True)
-        xi = mobj.get("xi")
-        if not isinstance(xi, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in xi):
-            probs.add("$.model.xi", "expected a list of numbers")
-            xi = None
-        sigma = _sigma(mobj.get("sigma"), "$.model.sigma", probs)
-        drift = _drift(mobj.get("drift"), "$.model.drift", probs)
-        kobj = mobj.get("k")
-        if not isinstance(kobj, list) or not kobj:
-            probs.add("$.model.k", "expected a nonempty list (one entry per orbit)")
-            kfns = None
-        else:
-            kfns = [_timefn(f, f"$.model.k[{i}]", probs) for i, f in enumerate(kobj)]
-            if any(f is None for f in kfns):
-                kfns = None
-        if all(v is not None for v in (rs, T, xi, sigma, drift, kfns)):
-            try:
-                model = ModelSpec(rs=rs, T=T, xi=tuple(float(v) for v in xi),
-                                  sigma=sigma, drift=drift, k=tuple(kfns))
-            except DunklSimError as exc:
-                probs.add("$.model", str(exc))
-
-    scheme = None
-    sobj = _block(raw, "scheme", {"variant": 1, "theta": 1},
-                  {"c": 1, "solver_tol": 1}, probs)
-    if sobj is not None:
-        variant = sobj.get("variant")
-        if variant not in VARIANTS:
-            probs.add("$.scheme.variant", f"expected one of {VARIANTS}")
-            variant = None
-        theta = _number(sobj.get("theta"), "$.scheme.theta", probs, lo=0.0)
-        c = _number(sobj.get("c", 1.1), "$.scheme.c", probs)
-        tol = _number(sobj.get("solver_tol", 1e-10), "$.scheme.solver_tol", probs,
-                      lo=0.0, lo_strict=True)
-        if None not in (variant, theta, c, tol):
-            try:
-                SchemeConfig(variant=variant, theta=theta, n=1, c=c, solver_tol=tol)
-                scheme = SchemeSettings(variant=variant, theta=theta, c=c,
-                                        solver_tol=tol)
-            except DunklSimError as exc:
-                probs.add("$.scheme", str(exc))
-
-    kind = None
-    params: dict[str, Any] = {}
-    eobj = raw.get("experiment")
-    if isinstance(eobj, dict):
-        kind = eobj.get("kind")
-        if kind not in EXPERIMENT_KINDS:
-            probs.add("$.experiment.kind", f"expected one of {EXPERIMENT_KINDS}")
-            kind = None
-        else:
-            req, opt = _EXPERIMENT_KEYS[kind]
-            _expect_keys(eobj, "$.experiment", {"kind": 1, **req}, opt, probs)
-            if kind == "moments":
-                p = _number(eobj.get("p"), "$.experiment.p", probs, lo=0.0)
-                ps = eobj.get("pathwise_sup", False)
-                if not isinstance(ps, bool):
-                    probs.add("$.experiment.pathwise_sup", "expected a boolean")
-                    ps = False
-                params = {"p": p, "pathwise_sup": ps}
-            elif kind == "increments":
-                lags = eobj.get("lags")
-                if not isinstance(lags, list) or not all(
-                        isinstance(v, (int, float)) and not isinstance(v, bool)
-                        for v in lags) or not lags:
-                    probs.add("$.experiment.lags", "expected a nonempty list of numbers")
-                else:
-                    params = {"lags": [float(v) for v in lags]}
-            elif kind == "validate":
-                params = {
-                    "samples": _integer(eobj.get("samples", 256),
-                                        "$.experiment.samples", probs, lo=1) or 256,
-                    "tol": _number(eobj.get("tol", 1e-8), "$.experiment.tol", probs,
-                                   lo=0.0, lo_strict=True) or 1e-8,
-                }
-    elif "experiment" in raw:
-        probs.add("$.experiment", "expected an object")
-
-    M = n = n_ref = None
-    n_list = None
-    master_seed = None
-    output_dir = "results"
-    threads = 1
-    robj = _block(raw, "run", {"master_seed": 1},
-                  {"M": 1, "n": 1, "n_list": 1, "n_ref": 1, "output_dir": 1,
-                   "threads": 1}, probs)
-    if robj is not None:
-        master_seed = _integer(robj.get("master_seed"), "$.run.master_seed",
-                               probs, lo=0, hi=_U64 - 1)
-        if "M" in robj:
-            M = _integer(robj.get("M"), "$.run.M", probs, lo=1)
-        if "n" in robj:
-            n = _integer(robj.get("n"), "$.run.n", probs, lo=1)
-        if "n_ref" in robj:
-            n_ref = _integer(robj.get("n_ref"), "$.run.n_ref", probs, lo=1)
-        if "n_list" in robj:
-            nl = robj.get("n_list")
-            if not isinstance(nl, list) or not nl or not all(
-                    isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in nl):
-                probs.add("$.run.n_list", "expected a nonempty list of positive integers")
-            else:
-                n_list = tuple(int(v) for v in nl)
-        if "output_dir" in robj:
-            od = robj.get("output_dir")
-            if not isinstance(od, str) or not od:
-                probs.add("$.run.output_dir", "expected a nonempty string")
-            else:
-                output_dir = od
-        if "threads" in robj:
-            threads = _integer(robj.get("threads"), "$.run.threads", probs, lo=1) or 1
-
-    if kind is not None:
-        for need in _RUN_NEEDS[kind] if robj is not None else ():
-            have = {"M": M, "n": n, "n_list": n_list, "n_ref": n_ref}[need]
-            if have is None:
+    model, scheme, params, run = _fields(raw, "$", probs, _BLOCKS).values()
+    # The kind is known even when the experiment's own keys failed, so the
+    # checks below still report every problem of the other blocks.
+    kind = raw["experiment"].get("kind") if isinstance(raw.get("experiment"), dict) else None
+    if kind in EXPERIMENT_KINDS:
+        for need in _KINDS[kind][1]:
+            if run is not None and need not in raw["run"]:
                 probs.add(f"$.run.{need}", f"required by the {kind} experiment")
         if kind == "moments" and scheme is not None and scheme.variant != "exact":
             probs.add("$.scheme.variant", "moments requires the exact variant")
-        if kind == "convergence" and n_list is not None and n_ref is not None:
+        if kind == "convergence" and run and run["n_list"] and run["n_ref"]:
+            n_list, n_ref = run["n_list"], run["n_ref"]
             if list(n_list) != sorted(set(n_list)):
                 probs.add("$.run.n_list", "grid sizes must be strictly increasing")
             else:
@@ -436,9 +323,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if probs:
         raise ConfigError(probs.items)
     return ExperimentConfig(model=model, scheme=scheme, kind=kind, params=params,
-                            M=M, n=n, n_list=n_list, n_ref=n_ref,
-                            master_seed=master_seed, output_dir=output_dir,
-                            threads=threads, raw=raw)
+                            raw=raw, **run)
 
 
 def _cir_constants(model: ModelSpec) -> tuple[float, float, float, float, float] | None:

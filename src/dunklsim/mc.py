@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .brownian import batch_increments, coarsen
 from .errors import FitError, GridError, ParameterError
@@ -177,11 +177,20 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> FitResult:
         raise FitError(f"need at least 3 points for an order fit, got {len(x)}")
     lx = np.log2(np.asarray(x, dtype=float))
     ly = np.log2(np.asarray(y, dtype=float))
-    res = stats.linregress(lx, ly)
+    if lx.max() == lx.min():
+        raise FitError("cannot fit an order when all x values are identical")
+    # scipy.stats.linregress and t.ppf, operation for operation (importing
+    # scipy.stats costs about a second)
+    ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=True).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.float64(np.nan if ssxym == 0 else 0.0)
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
     df = len(x) - 2
-    half = float(stats.t.ppf(0.975, df) * res.stderr) if df > 0 else math.inf
-    return FitResult(slope=float(res.slope), intercept=float(res.intercept),
-                     half_width=half)
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / df)
+    return FitResult(slope=float(slope), intercept=float(np.mean(ly) - slope * np.mean(lx)),
+                     half_width=float(stdtrit(df, 0.975) * stderr))
 
 
 def fit_order(curve: ErrorCurve) -> FitResult:

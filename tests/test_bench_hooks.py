@@ -1,18 +1,38 @@
-"""The benchmark tracer's hooks: every name it wraps still exists.
+"""What the benchmark uses of the package still works.
 
 `bench/tracing.py` rebinds layer functions that `dunklsim.cli` and
 `dunklsim.mc` import by name.  Renaming or dropping one of them breaks
-`bench/run.py --trace 1`; this test makes that a unit-test failure.
+`bench/run.py --trace 1`; the tracer test makes that a unit-test failure.
+The workload configs of `bench/workloads.py`, like the shipped
+`configs/*.json`, must keep parsing and describing.
 """
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import dunklsim.cli as cli
 import dunklsim.mc as mc
+from dunklsim import SchemeConfig, load_config
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _bench_workloads()
+CONFIGS = {**{name: _WORKLOADS.make_config(name, 3) for name in _WORKLOADS.NAMES},
+           **{p.name: json.loads(p.read_text())
+              for p in sorted((ROOT / "configs").glob("*.json"))}}
 
 
 def _load_tracing(monkeypatch):
@@ -53,3 +73,14 @@ def test_tracer_installs_and_records_spans(tmp_path, monkeypatch, capsys):
     steps = sum(span["counts"]["path_steps"] for span in tracer.records()
                 if span["name"] == "scheme.run_batch")
     assert steps == 100 * (16 + 4 + 8)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_bench_and_shipped_configs_parse_and_describe(name, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(CONFIGS[name]))
+    cfg = load_config(str(path))
+    if cfg.kind == "simulate":                         # as bench/checks.py resolves it
+        assert isinstance(cfg.scheme.resolve(cfg.n), SchemeConfig)
+    assert cli.main(["describe", str(path)]) == 0
+    assert "root system" in capsys.readouterr().out

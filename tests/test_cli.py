@@ -221,6 +221,13 @@ def test_run_validate_kind_fails_redly(tmp_path):
     assert summary["results"]["passed"] is False
 
 
+def test_import_leaves_scipy_stats_out():
+    code = "import sys, dunklsim.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_module_entry_point(tmp_path):
     cfg = _write(tmp_path, _simulate_cfg(tmp_path))
     proc = subprocess.run([sys.executable, "-m", "dunklsim.cli", "describe", cfg],

@@ -133,6 +133,22 @@ def test_absent_or_non_object_block_is_one_problem(block, value, message):
     assert len(probs) == 1 and probs[0].startswith(f"$.{block}: {message}")
 
 
+@pytest.mark.parametrize("edits, problem", [
+    ({"model__T": ...}, "$.model.T: missing required key"),
+    ({"model__sigma__fn": ...}, "$.model.sigma.fn: missing required key"),
+    ({"model__k": [{"form": "table", "t": [0.0, 1.0]}]}, "$.model.k[0].v: missing required key"),
+    ({"model__root_system": {"type": "custom", "dim": 2, "roots": [[1.0, -1.0]]}},
+     "$.model.root_system.orbits: missing required key"),
+    ({"experiment": {"kind": "moments"}}, "$.experiment.p: missing required key"),
+    ({"run__master_seed": ...}, "$.run.master_seed: missing required key"),
+    ({"model__drift": {"form": "zero", "rate": 1.0}}, "$.model.drift.rate: unknown key"),
+    ({"model__k": [4.0, "x"]}, "$.model.k[1]: expected a finite number"),
+    ({"model__T": 10 ** 400}, "$.model.T: expected a finite number"),
+])
+def test_each_problem_reported_once(edits, problem):
+    assert _problems(_cfg(**edits)) == [problem]
+
+
 def test_master_seed_required_and_ranged():
     probs = _problems(_cfg(run={"M": 4, "n": 8}))
     assert any("master_seed" in p for p in probs)

@@ -53,6 +53,25 @@ def test_fit_needs_three_points():
                              std_errors=(0.0, 0.0), M=100, n_ref=64, variant="exact"))
 
 
+def test_fit_rejects_identical_x():
+    with pytest.raises(FitError):
+        mc._loglog_fit(np.full(3, 8.0), np.array([1.0, 2.0, 3.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 2 ** 20), st.floats(1e-12, 1e6)),
+                min_size=3, max_size=12, unique_by=lambda pt: pt[0]))
+def test_loglog_fit_matches_scipy_bitwise(points):
+    from scipy import stats  # the package itself does not import scipy.stats
+    x = np.array([pt[0] for pt in points], dtype=float)
+    y = np.array([pt[1] for pt in points])
+    fit = mc._loglog_fit(x, y)
+    ref = stats.linregress(np.log2(x), np.log2(y))
+    half = stats.t.ppf(0.975, len(x) - 2) * ref.stderr
+    assert (np.array([fit.slope, fit.intercept, fit.half_width]).tobytes()
+            == np.array([ref.slope, ref.intercept, half], dtype=float).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # strong error curves
 

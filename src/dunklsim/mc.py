@@ -193,6 +193,15 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> FitResult:
                      half_width=float(stdtrit(df, 0.975) * stderr))
 
 
+def _slope_or_none(points) -> float | None:
+    """Log-log slope through (x, y) points, or None with fewer than 3
+    distinct x values."""
+    if len({x for x, _ in points}) < 3:
+        return None
+    x, y = map(np.array, zip(*points))
+    return _loglog_fit(x, y).slope
+
+
 def fit_order(curve: ErrorCurve) -> FitResult:
     """OLS slope of log2 error against log2 n (zero entries excluded)."""
     pts = [(n, e) for n, e in zip(curve.n_values, curve.rms_errors) if e > 0.0]
@@ -277,7 +286,8 @@ def increment_scaling(m: ModelSpec, theta: float, n: int, M: int, lag_list,
     """Mean squared increments per lag under the exact scheme.
 
     Lags must be grid multiples (within 1e-9 relative); lag 0 reports 0.
-    The slope is a log-log fit over positive lags (needs >= 3).
+    The slope is a log-log fit over positive lags (None with fewer than 3
+    distinct ones).
     """
     dt = m.T / n
     steps = []
@@ -308,13 +318,9 @@ def increment_scaling(m: ModelSpec, theta: float, n: int, M: int, lag_list,
         est.append(float(mean))
         se.append(float(s_))
     pos = [(lag, e) for lag, e in zip(lag_list, est) if lag > 0.0 and e > 0.0]
-    slope = None
-    if len(pos) >= 3:
-        slope = _loglog_fit(np.array([q[0] for q in pos]),
-                            np.array([q[1] for q in pos])).slope
     return IncrementReport(lags=tuple(float(l) for l in lag_list),
                            estimates=tuple(est), std_errors=tuple(se),
-                           slope=slope, M=M, n=n)
+                           slope=_slope_or_none(pos), M=M, n=n)
 
 
 def wilson_interval(count: int, total: int, z: float = 1.96) -> tuple[float, float]:
@@ -347,7 +353,7 @@ def chamber_exit(m: ModelSpec, theta: float, c: float, n_list, M: int,
 
     A path exits if any grid state has a nonpositive pairing.  The decay
     slope regresses log fraction on log n over entries with >= 5 exits
-    (the fit itself needs 3 such entries).  The exact variant preserves
+    (None with fewer than 3 distinct such n).  The exact variant preserves
     the chamber by construction, so querying it reports zero fractions
     without simulating.
     """
@@ -378,13 +384,9 @@ def chamber_exit(m: ModelSpec, theta: float, c: float, n_list, M: int,
         lows.append(lo)
         highs.append(hi)
     usable = [(n, f) for n, f, cnt in zip(ns, fractions, counts) if cnt >= 5]
-    slope = None
-    if len(usable) >= 3:
-        slope = _loglog_fit(np.array([u[0] for u in usable]),
-                            np.array([u[1] for u in usable])).slope
     return ExitReport(n_values=ns, counts=tuple(counts), fractions=fractions,
                       ci_low=tuple(lows), ci_high=tuple(highs), M=M,
-                      decay_slope=slope)
+                      decay_slope=_slope_or_none(usable))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .coefficients import ZeroDrift
 from .errors import DimensionError, GridError, ParameterError, PathSolverError
 from .model import ModelSpec, lipschitz_scale, repulsion
 from .roots import RootSystem
-from .stepping import _fixed_point_batch, _newton_batch, _quadratic_root
+from .stepping import _certificate, _fixed_point_batch, _newton_batch, _quadratic_root
 
 VARIANTS = ("exact", "truncated")
 
@@ -86,6 +86,16 @@ def truncation_level(m: ModelSpec, cfg: SchemeConfig) -> float:
     if cfg.variant != "truncated":
         raise ParameterError("cap level is only defined for the truncated variant")
     return cfg.c * math.sqrt(lipschitz_scale(m) * m.T / cfg.n)
+
+
+def fixed_point_cap(m: ModelSpec, cfg: SchemeConfig) -> int:
+    """Largest a priori count m* of the capped step over the grid's step
+    times: no truncated step of the run sweeps more often."""
+    grid = TimeGrid(cfg.n, m.T)
+    h = (1.0 - cfg.theta) * grid.dt
+    eps = truncation_level(m, cfg)
+    return max(_certificate(m.rs, kv, h, eps, cfg.solver_tol)[0]
+               for kv in np.unique(m.k_at(grid.times[1:]), axis=0))
 
 
 def _closed_form_ok(rs: RootSystem) -> bool:
@@ -143,9 +153,9 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
 
         kv = kvg[l + 1]
         if truncated:
-            x, m_star, _b0 = _fixed_point_batch(rs, kv, xhat, h, eps, cfg.solver_tol)
+            x, iters = _fixed_point_batch(rs, kv, xhat, h, eps, cfg.solver_tol)
             if iter_rec is not None:
-                iter_rec[:, l] = m_star
+                iter_rec[:, l] = iters
             pmin = (x @ a.T).min(axis=1)
             bad = pmin <= 0.0
             newly = bad & ~exited

@@ -4,9 +4,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from dunklsim import batch_increments, fixed_point_certificate, run_batch, truncation_level
 from dunklsim.cli import main
+from dunklsim.config import load_config
 
 MODEL_A2 = {
     "root_system": {"type": "A", "d": 2},
@@ -55,6 +58,29 @@ def test_describe_reports_scales(tmp_path, capsys):
     assert "warning" in out                            # threshold 1 model
 
 
+def test_describe_prints_fixed_point_cap(tmp_path, capsys):
+    # k peaks mid-run, so the largest a priori count sits at neither end
+    doc = _simulate_cfg(tmp_path)
+    doc["model"]["k"] = [{"form": "table", "t": [0.0, 0.5, 1.0], "v": [1.0, 6.0, 2.0]}]
+    doc["scheme"] = {"variant": "truncated", "theta": 0.25, "c": 1.3}
+    doc["run"]["n"] = 10
+    path = _write(tmp_path, doc)
+    rc = main(["describe", path])
+    out = capsys.readouterr().out
+    assert rc == 0
+    cfg = load_config(path)
+    m, scheme = cfg.model, cfg.scheme.resolve(10)
+    h = 0.75 * 0.1
+    eps = truncation_level(m, scheme)
+    counts = [fixed_point_certificate(m.rs, m.k_at(t), h, eps, 1e-10)[0]
+              for t in np.arange(1, 11) * 0.1]
+    assert max(counts) > max(counts[0], counts[-1])
+    assert f"cap level = {eps:.17g}, fixed-point cap m* = {max(counts)}\n" in out
+    inc = batch_increments(m.brownian_dim, 10, m.T, 5, np.arange(16))
+    iters = run_batch(m, scheme, inc, record_iterations=True).iterations
+    assert 1 <= iters.min() and iters.max() <= max(counts)
+
+
 def test_describe_quiet_when_guarantee_holds(tmp_path, capsys):
     doc = _simulate_cfg(tmp_path)                      # exact, threshold 7 > 6
     rc = main(["describe", _write(tmp_path, doc)])
@@ -96,6 +122,16 @@ def test_run_convergence_reports_fit(tmp_path):
     assert len(lines) == 4
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["results"]["fit"]["slope"] < -0.4
+
+
+def test_increments_repeated_lags_report_no_slope(tmp_path):
+    # one distinct lag: the slope fit is undefined, the run still succeeds
+    doc = _simulate_cfg(tmp_path)
+    doc["experiment"] = {"kind": "increments", "lags": [0.25, 0.25, 0.25]}
+    doc["run"]["n"] = 8
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["results"]["slope"] is None
 
 
 def test_manifest_row_counts_match_files(tmp_path):

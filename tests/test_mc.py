@@ -278,6 +278,15 @@ def test_chamber_exit_truncated_counts_consistent():
     assert rep.fractions[0] >= rep.fractions[-1]
 
 
+
+def test_chamber_exit_two_distinct_grids_report_no_slope():
+    # four usable entries but only two distinct n: no slope, no FitError
+    m = type_b_model(2, k_long=5.0, k_short=5.0, xi=(0.6, 0.3))
+    rep = chamber_exit(m, 0.0, 1.1, [8, 8, 16, 16], 400, 9)
+    assert min(rep.counts) >= 5
+    assert rep.counts[0] == rep.counts[1] and rep.counts[2] == rep.counts[3]
+    assert rep.decay_slope is None
+
 # ---------------------------------------------------------------------------
 # squared-mean checks against the moment equation
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunklsim import (
     ParameterError,
@@ -201,6 +203,45 @@ def test_truncated_single_path_variant():
     assert np.isfinite(out.states).all()
     fv = out.first_violation[0]
     assert out.in_chamber[0].all() == (fv == -1)
+
+
+TRUNCATED_MODELS = {
+    "D1": lambda: bessel_model(k=1.0, xi=0.3),
+    "A2": lambda: dyson_model(2, k=4.0),
+    "A3": lambda: dyson_model(3, k=2.0),
+    "A4": lambda: dyson_model(4, k=1.0),
+    "B2": lambda: type_b_model(2, k_long=2.0, k_short=1.0),
+    "B3": lambda: type_b_model(3, k_long=1.5, k_short=0.7),
+}
+
+
+@given(st.sampled_from(sorted(TRUNCATED_MODELS)), st.floats(0.0, 0.5),
+       st.floats(1.05, 3.0), st.integers(0, 2**32 - 1), st.permutations(range(9)),
+       st.integers(2, 7))
+@settings(max_examples=40, deadline=None)
+def test_truncated_rows_invariant_under_permutation_and_sub_batches(
+        name, theta, c, seed, perm, cut):
+    """Truncated run_batch rows, and the sweep counts at which each path's
+    fixed point stopped, are bitwise the same in any order of the batch and
+    in any sub-batch of at least two rows.  One-row batches are left out:
+    a one-row root contraction goes through BLAS gemv rather than gemm and
+    may differ in the last ulp (ROADMAP item 4)."""
+    m = TRUNCATED_MODELS[name]()
+    cfg = SchemeConfig(variant="truncated", theta=theta, n=16, c=c)
+    ids = np.arange(9, dtype=np.uint64)
+    perm = np.array(perm)
+
+    def run(rows):
+        out = run_batch(m, cfg, batch_increments(m.brownian_dim, 16, m.T, seed, ids[rows]),
+                        record_iterations=True)
+        return out.states, out.iterations, out.first_violation
+
+    full = run(np.arange(9))
+    for got, want in zip(run(perm), full):
+        assert np.array_equal(got, want[perm])
+    parts = [run(perm[:cut]), run(perm[cut:])]
+    for j, want in enumerate(full):
+        assert np.array_equal(np.concatenate([p[j] for p in parts]), want[perm])
 
 
 def test_iterations_recorded():

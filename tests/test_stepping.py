@@ -20,6 +20,7 @@ from dunklsim import (
     solve_truncated_step,
     step_residual,
 )
+from dunklsim.stepping import _fixed_point_batch
 
 D1 = RootSystem(dim=1, positive_roots=((1.0,),), orbits=((0,),))
 
@@ -135,8 +136,44 @@ def test_truncated_iterations_match_certificate():
     assert rho == pytest.approx(0.5)
     assert b0 == pytest.approx(2.0)
     assert m_star == math.ceil(math.log(1e-10 / b0) / math.log(rho))
+    # the first sweep lands on the fixed point -9.5 and the second sees no
+    # change, so the a posteriori test stops the iteration after two sweeps
     rep = solve_truncated_step(D1, [1.0], np.array([-10.0]), 0.5, eps=1.0)
-    assert rep.iterations == m_star
+    assert rep.iterations == 2
+    assert 2 <= m_star
+
+
+CAPPED_SYSTEMS = {
+    "D1": (D1, [1.0]),
+    "A2": (make_type_a(2), [4.0]),
+    "A3": (make_type_a(3), [2.0]),
+    "A4": (make_type_a(4), [1.0]),
+    "B2": (make_type_b(2), [2.0, 1.0]),
+    "B3": (make_type_b(3), [1.5, 0.7]),
+}
+
+
+@given(st.sampled_from(sorted(CAPPED_SYSTEMS)), st.floats(0.05, 0.95),
+       st.floats(0.3, 2.0), st.floats(0.5, 5.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_capped_early_exit_within_certified_bound(name, rho_target, eps, spread, seed):
+    """Every path of a batch stops within B0 rho^{m*} of the fixed point,
+    after at least one and at most m* sweeps."""
+    rs, k = CAPPED_SYSTEMS[name]
+    kv = np.asarray(k, dtype=float)[rs.orbit_of]
+    h = rho_target * eps * eps / float(np.sum(kv * rs.norms_sq))
+    xhat = np.random.default_rng(seed).normal(size=(16, rs.dim)) * spread
+    m_star, rho, b0 = fixed_point_certificate(rs, k, h, eps, 1e-10)
+    y, iters = _fixed_point_batch(rs, kv, xhat, h, eps, 1e-10)
+    y_ref = xhat.copy()
+    for _ in range(10 * m_star):
+        w = kv / np.maximum(eps, rs.pairings(y_ref))
+        y_ref = xhat + h * (w @ rs.matrix)
+    assert np.all(np.linalg.norm(y - y_ref, axis=1) <= b0 * rho ** m_star)
+    assert np.all((1 <= iters) & (iters <= m_star))
+    rep = solve_truncated_step(rs, k, xhat[0], h, eps=eps)
+    assert np.linalg.norm(rep.y - y_ref[0]) <= b0 * rho ** m_star
+    assert 1 <= rep.iterations <= m_star
 
 
 def test_truncated_rejects_non_contractive_stepsize():
@@ -157,8 +194,8 @@ def test_truncated_matches_exact_when_cap_inactive():
 
 
 def test_truncated_geometric_error_bound():
-    # after the certified iteration count the distance to a long
-    # fixed-point run obeys the a-priori geometric bound
+    # where the iteration stops, the distance to a long fixed-point run
+    # obeys the a-priori geometric bound
     rng = np.random.default_rng(5)
     rs = make_type_a(2)
     for rho_target in (0.1, 0.5, 0.9):

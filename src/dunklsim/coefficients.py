@@ -13,7 +13,6 @@ The scalar diffusion size used in moment thresholds is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -265,36 +264,4 @@ class ConstantDrift:
         return ()
 
 
-@dataclass(frozen=True)
-class CallableDrift:
-    """User-supplied drift with a declared Lipschitz constant.
-
-    `fn(t, x)` must accept a batch x of shape (m, d) and return the same
-    shape.  Only available through the API, not through config files.
-    """
-
-    fn: Callable[[float, np.ndarray], np.ndarray]
-    lipschitz_constant: float
-    origin_bound: float = 0.0
-
-    def __post_init__(self):
-        if not (self.lipschitz_constant >= 0.0 and np.isfinite(self.lipschitz_constant)):
-            raise ParameterError("callable drift needs a finite declared Lipschitz constant")
-
-    def apply(self, t, x):
-        out = np.asarray(self.fn(t, x), dtype=float)
-        if out.shape != x.shape:
-            raise DimensionError("drift callable returned a mismatched shape")
-        return out
-
-    def lipschitz(self, T: float) -> float:
-        return float(self.lipschitz_constant)
-
-    def at_origin_sup(self, T: float) -> float:
-        return float(self.origin_bound)
-
-    def breakpoints(self, T):
-        return ()
-
-
-DriftSpec = ZeroDrift | LinearDrift | ConstantDrift | CallableDrift
+DriftSpec = ZeroDrift | LinearDrift | ConstantDrift

@@ -74,10 +74,6 @@ def _warn_threshold(m: ModelSpec, variant: str) -> None:
             "strong-rate guarantee does not cover this model", stacklevel=3)
 
 
-def _scheme(variant: str, theta: float, n: int, c: float, tol: float) -> SchemeConfig:
-    return SchemeConfig(variant=variant, theta=theta, n=n, c=c, solver_tol=tol)
-
-
 @dataclass(frozen=True)
 class ErrorCurve:
     """Root-mean-square sup errors against the coupled reference run."""
@@ -121,7 +117,7 @@ def strong_error(m: ModelSpec, theta: float, n_list, n_ref: int, M: int,
     coarse = [n for n in ns if n != n_ref]
     n_max = max(coarse) if coarse else n_ref
     ref_stride = n_ref // n_max
-    cfg_ref = _scheme(variant, theta, n_ref, c, solver_tol)
+    cfg_ref = SchemeConfig(variant, theta, n_ref, c, solver_tol)
     sup2 = np.zeros((M, len(ns)))
 
     def work(start, stop, inc):
@@ -129,7 +125,7 @@ def strong_error(m: ModelSpec, theta: float, n_list, n_ref: int, M: int,
         for j, n in enumerate(ns):
             if n == n_ref:
                 continue
-            res = run_batch(m, _scheme(variant, theta, n, c, solver_tol),
+            res = run_batch(m, SchemeConfig(variant, theta, n, c, solver_tol),
                             coarsen(inc, n_ref // n))
             diff = res.states - ref.states[:, ::n_max // n]
             sup2[start:stop, j] = np.sum(diff * diff, axis=2).max(axis=1)
@@ -161,8 +157,8 @@ def scheme_gap(m: ModelSpec, theta: float, n: int, M: int, master_seed: int,
     sup2 = np.zeros(M)
 
     def work(start, stop, inc):
-        a = run_batch(m, _scheme("exact", theta, n, c, solver_tol), inc)
-        b = run_batch(m, _scheme("truncated", theta, n, c, solver_tol), inc)
+        a = run_batch(m, SchemeConfig("exact", theta, n, c, solver_tol), inc)
+        b = run_batch(m, SchemeConfig("truncated", theta, n, c, solver_tol), inc)
         diff = a.states - b.states
         sup2[start:stop] = np.sum(diff * diff, axis=2).max(axis=1)
 
@@ -239,7 +235,7 @@ def negative_moments(m: ModelSpec, p: float, theta: float, n: int, M: int,
     if p >= p_star:
         warnings.warn(f"moment order {p:g} >= threshold {p_star:g}; "
                       "estimates may diverge with M", stacklevel=2)
-    cfg = _scheme("exact", theta, n, 1.1, solver_tol)
+    cfg = SchemeConfig("exact", theta, n, 1.1, solver_tol)
     n_roots = m.rs.n_roots
     nblocks = -(-M // BLOCK)
     s1 = np.zeros((nblocks, n + 1, n_roots))
@@ -258,8 +254,8 @@ def negative_moments(m: ModelSpec, p: float, theta: float, n: int, M: int,
 
     _map_paths(m, n, M, master_seed, threads, work)
 
-    tot1 = pairwise_sum(s1, axis=0)
-    tot2 = pairwise_sum(s2, axis=0)
+    tot1 = pairwise_sum(s1)
+    tot2 = pairwise_sum(s2)
     est, se = mean_se_from_sums(tot1, tot2, M)
     sup_est = sup_se = None
     if pathwise_sup:
@@ -298,7 +294,7 @@ def increment_scaling(m: ModelSpec, theta: float, n: int, M: int, lag_list,
         if abs(s * dt - lag) > 1e-9 * max(dt, abs(lag)):
             raise GridError(f"lag {lag} is not a multiple of dt={dt}")
         steps.append(s)
-    cfg = _scheme("exact", theta, n, 1.1, solver_tol)
+    cfg = SchemeConfig("exact", theta, n, 1.1, solver_tol)
     per_path = np.zeros((M, len(steps)))
 
     def work(start, stop, inc):
@@ -323,10 +319,11 @@ def increment_scaling(m: ModelSpec, theta: float, n: int, M: int, lag_list,
                            slope=_slope_or_none(pos), M=M, n=n)
 
 
-def wilson_interval(count: int, total: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial fraction."""
+def wilson_interval(count: int, total: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial fraction."""
     if total < 1:
         raise ParameterError("need at least one trial")
+    z = 1.96
     ph = count / total
     denom = 1.0 + z * z / total
     center = (ph + z * z / (2 * total)) / denom
@@ -369,7 +366,7 @@ def chamber_exit(m: ModelSpec, theta: float, c: float, n_list, M: int,
     counts = []
     for n in ns:
         exited = np.zeros(M, dtype=bool)
-        cfg = _scheme("truncated", theta, n, c, solver_tol)
+        cfg = SchemeConfig("truncated", theta, n, c, solver_tol)
 
         def work(start, stop, inc):
             exited[start:stop] = run_batch(m, cfg, inc).exited
@@ -419,7 +416,7 @@ def cir_mean_check(k0: float, sigma0: float, lam0: float, xi: float, T: float,
     consistency check of the whole pipeline.
     """
     m = bessel_model(k=k0, sigma0=sigma0, lam=lam0, xi=xi, T=T)
-    cfg = _scheme("exact", theta, n, 1.1, solver_tol)
+    cfg = SchemeConfig("exact", theta, n, 1.1, solver_tol)
     finals = np.zeros(M)
 
     def work(start, stop, inc):

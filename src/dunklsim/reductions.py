@@ -16,15 +16,14 @@ import numpy as np
 BLOCK = 1024
 
 
-def pairwise_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Sum along `axis` with a fixed pairwise tree.
+def pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum along axis 0 with a fixed pairwise tree.
 
     The leading block has the largest power-of-two length that fits, the
     remainder is reduced recursively, and the two partials are added.  For
     power-of-two lengths this is plain recursive halving.
     """
     a = np.asarray(a)
-    a = np.moveaxis(a, axis, 0)
     n = a.shape[0]
     if n == 0:
         return np.zeros(a.shape[1:], dtype=a.dtype if a.dtype.kind == "f" else float)
@@ -51,22 +50,18 @@ def block_partials(values: np.ndarray, out: np.ndarray, first_block: int) -> Non
     nb = -(-m // BLOCK)
     for j in range(nb):
         seg = values[j * BLOCK:(j + 1) * BLOCK]
-        out[first_block + j] = pairwise_sum(seg, axis=0)
+        out[first_block + j] = pairwise_sum(seg)
 
 
 def path_sum(values: np.ndarray) -> np.ndarray:
     """Canonical deterministic sum over the path axis (axis 0)."""
     m = values.shape[0]
     if m <= BLOCK:
-        return pairwise_sum(values, axis=0)
+        return pairwise_sum(values)
     nb = -(-m // BLOCK)
     parts = np.empty((nb,) + values.shape[1:], dtype=float)
     block_partials(values, parts, 0)
-    return pairwise_sum(parts, axis=0)
-
-
-def path_mean(values: np.ndarray) -> np.ndarray:
-    return path_sum(values) / values.shape[0]
+    return pairwise_sum(parts)
 
 
 def path_mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +71,7 @@ def path_mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     spread whenever the mean is exact.
     """
     m = values.shape[0]
-    mean = path_mean(values)
+    mean = path_sum(values) / m
     if m < 2:
         return mean, np.zeros_like(mean)
     dev = values - mean

@@ -21,7 +21,7 @@ The two standard families used throughout:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,15 +44,6 @@ class Root:
         if np.dot(v, v) == 0.0:
             raise ParameterError("root vector must be nonzero")
         object.__setattr__(self, "vector", tuple(float(c) for c in v))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.vector, dtype=float)
-
-    @property
-    def norm_sq(self) -> float:
-        a = self.array
-        return float(np.dot(a, a))
 
 
 @dataclass(frozen=True)

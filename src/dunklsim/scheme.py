@@ -16,10 +16,12 @@ form are `model.repulsion`, shared with the step solvers and the audit.
 `run_batch` is the only way to simulate: it advances a batch of paths in
 lockstep from their increments (`brownian.batch_increments`), and a
 single path is a batch of one (`path_ids=np.array([i])`).  Per-path
-arithmetic is elementwise, so a row of a multi-row batch does not depend
-on which other paths share the batch; a batch of one row may differ from
-that row in the last ulp on systems with more than one root, because a
-one-row matrix product sums in a different order.
+arithmetic is elementwise, so a row does not depend on which other paths
+share the batch.  The root contractions are matrix products, which BLAS
+sums the same way for a row in any batch of two or more rows (gemm) but
+in another order for a single row (gemv); a batch of one path therefore
+runs as two copies of the path and keeps the first.  `audit_batch` does
+the same, and both build the predictor in `_predictor`.
 """
 from __future__ import annotations
 
@@ -33,7 +35,8 @@ from .coefficients import ZeroDrift
 from .errors import DimensionError, GridError, ParameterError, PathSolverError
 from .model import ModelSpec, lipschitz_scale, repulsion
 from .roots import RootSystem
-from .stepping import _certificate, _fixed_point_batch, _newton_batch, _quadratic_root
+from .stepping import (_certificate, _fixed_point_batch, _newton_batch, _quadratic_root,
+                       _twin)
 
 VARIANTS = ("exact", "truncated")
 
@@ -63,21 +66,17 @@ class SchemeConfig:
             raise ParameterError("solver tolerance must be positive")
 
 
+@dataclass(frozen=True)
 class BatchPaths:
     """States and diagnostics of a batch run (internal to the engine)."""
 
-    __slots__ = ("states", "store_stride", "exited", "first_violation",
-                 "in_chamber", "iterations", "final")
-
-    def __init__(self, states, store_stride, exited, first_violation,
-                 in_chamber, iterations, final):
-        self.states = states
-        self.store_stride = store_stride
-        self.exited = exited
-        self.first_violation = first_violation
-        self.in_chamber = in_chamber
-        self.iterations = iterations
-        self.final = final
+    states: np.ndarray
+    store_stride: int
+    exited: np.ndarray
+    first_violation: np.ndarray
+    in_chamber: np.ndarray | None
+    iterations: np.ndarray | None
+    final: np.ndarray
 
 
 def truncation_level(m: ModelSpec, cfg: SchemeConfig) -> float:
@@ -102,6 +101,27 @@ def _closed_form_ok(rs: RootSystem) -> bool:
     return rs.dim == 1 and rs.n_roots == 1 and rs.matrix[0, 0] > 0.0
 
 
+def _predictor(m: ModelSpec, cfg: SchemeConfig, grid: TimeGrid, kvg: np.ndarray,
+               eps: float | None, l: int, x: np.ndarray, db: np.ndarray,
+               npaths: int) -> np.ndarray:
+    """xhat_l = X_l + sigma dB_l + b dt + theta dt f(X_l) for a batch of
+    states; the exact variant (eps None) first checks that every state is
+    inside the chamber and names the first `npaths` rows that are not."""
+    t_l = float(grid.times[l])
+    xhat = x + m.sigma.apply(t_l, x, db)
+    if not isinstance(m.drift, ZeroDrift):
+        xhat += m.drift.apply(t_l, x) * grid.dt
+    if cfg.theta > 0.0:
+        a = m.rs.matrix
+        p = x @ a.T
+        if eps is None and p.min() <= 0.0:
+            raise PathSolverError(
+                "exact scheme state left the chamber (corrupted input?)",
+                step=l, path_ids=np.nonzero(p[:npaths].min(axis=1) <= 0.0)[0].tolist())
+        xhat += cfg.theta * grid.dt * repulsion(a, kvg[l], p, eps)
+    return xhat
+
+
 def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
               store_stride: int = 1, record_flags: bool = False,
               record_iterations: bool = False) -> BatchPaths:
@@ -112,45 +132,29 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
         raise DimensionError(
             f"increments shape {inc.shape} incompatible with n={cfg.n}, r={m.brownian_dim}")
     npaths = inc.shape[0]
+    inc = _twin(inc)
+    rows = inc.shape[0]
     grid = TimeGrid(cfg.n, m.T)
-    dt = grid.dt
-    times = grid.times
     rs = m.rs
     a = rs.matrix
-    d = rs.dim
-    kvg = m.k_at(times)
+    kvg = m.k_at(grid.times)
     truncated = cfg.variant == "truncated"
     eps = truncation_level(m, cfg) if truncated else None
-    h = (1.0 - cfg.theta) * dt
-    theta_dt = cfg.theta * dt
-    zero_drift = isinstance(m.drift, ZeroDrift)
+    h = (1.0 - cfg.theta) * grid.dt
     closed_form = (not truncated) and _closed_form_ok(rs)
 
     if cfg.n % store_stride != 0:
         raise GridError(f"store stride {store_stride} does not divide n={cfg.n}")
-    n_stored = cfg.n // store_stride
-    states = np.empty((npaths, n_stored + 1, d))
-    x = np.tile(m.xi_array, (npaths, 1))
+    states = np.empty((rows, cfg.n // store_stride + 1, rs.dim))
+    x = np.tile(m.xi_array, (rows, 1))
     states[:, 0] = x
-    exited = np.zeros(npaths, dtype=bool)
-    first_violation = np.full(npaths, -1, dtype=np.int64)
-    flags = np.ones((npaths, cfg.n + 1), dtype=bool) if record_flags else None
-    iter_rec = np.zeros((npaths, cfg.n), dtype=np.int32) if record_iterations else None
+    exited = np.zeros(rows, dtype=bool)
+    first_violation = np.full(rows, -1, dtype=np.int64)
+    flags = np.ones((rows, cfg.n + 1), dtype=bool) if record_flags else None
+    iter_rec = np.zeros((rows, cfg.n), dtype=np.int32) if record_iterations else None
 
     for l in range(cfg.n):
-        t_l = float(times[l])
-        db = inc[:, l]
-        xhat = x + m.sigma.apply(t_l, x, db)
-        if not zero_drift:
-            xhat += m.drift.apply(t_l, x) * dt
-        if cfg.theta > 0.0:
-            p = x @ a.T
-            if not truncated and p.min() <= 0.0:
-                raise PathSolverError(
-                    "exact scheme state left the chamber (corrupted input?)",
-                    step=l, path_ids=np.nonzero(p.min(axis=1) <= 0.0)[0].tolist())
-            xhat += theta_dt * repulsion(a, kvg[l], p, eps)
-
+        xhat = _predictor(m, cfg, grid, kvg, eps, l, x, inc[:, l], npaths)
         kv = kvg[l + 1]
         if truncated:
             x, iters = _fixed_point_batch(rs, kv, xhat, h, eps, cfg.solver_tol)
@@ -171,7 +175,7 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
         else:
             y, iters, res, ok = _newton_batch(rs, kv, xhat, h, cfg.solver_tol)
             if not ok.all():
-                bad_ids = np.nonzero(~ok)[0]
+                bad_ids = np.nonzero(~ok[:npaths])[0]
                 raise PathSolverError(
                     f"implicit step failed for {bad_ids.size} path(s) at step {l + 1}",
                     step=l + 1, path_ids=bad_ids.tolist(),
@@ -183,9 +187,11 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
         if (l + 1) % store_stride == 0:
             states[:, (l + 1) // store_stride] = x
 
-    return BatchPaths(states=states, store_stride=store_stride, exited=exited,
-                      first_violation=first_violation, in_chamber=flags,
-                      iterations=iter_rec, final=x)
+    return BatchPaths(states=states[:npaths], store_stride=store_stride,
+                      exited=exited[:npaths], first_violation=first_violation[:npaths],
+                      in_chamber=None if flags is None else flags[:npaths],
+                      iterations=None if iter_rec is None else iter_rec[:npaths],
+                      final=x[:npaths])
 
 
 def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
@@ -196,26 +202,19 @@ def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     reuses the recorded increments, so it is an independent check that the
     engine solved the right equations.
     """
-    inc = np.asarray(increments, dtype=float)
     st = np.asarray(states, dtype=float)
+    npaths = st.shape[0]
+    st = _twin(st)
+    inc = _twin(np.asarray(increments, dtype=float))
     grid = TimeGrid(cfg.n, m.T)
-    dt = grid.dt
-    times = grid.times
     a = m.rs.matrix
-    kvg = m.k_at(times)
+    kvg = m.k_at(grid.times)
     eps = truncation_level(m, cfg) if cfg.variant == "truncated" else None
-    h = (1.0 - cfg.theta) * dt
-    zero_drift = isinstance(m.drift, ZeroDrift)
+    h = (1.0 - cfg.theta) * grid.dt
     out = np.empty((st.shape[0], cfg.n))
     for l in range(cfg.n):
-        t_l = float(times[l])
-        x = st[:, l]
-        xhat = x + m.sigma.apply(t_l, x, inc[:, l])
-        if not zero_drift:
-            xhat += m.drift.apply(t_l, x) * dt
-        if cfg.theta > 0.0:
-            xhat += cfg.theta * dt * repulsion(a, kvg[l], x @ a.T, eps)
+        xhat = _predictor(m, cfg, grid, kvg, eps, l, st[:, l], inc[:, l], npaths)
         y = st[:, l + 1]
         out[:, l] = np.linalg.norm(
             y - xhat - h * repulsion(a, kvg[l + 1], y @ a.T, eps), axis=1)
-    return out
+    return out[:npaths]

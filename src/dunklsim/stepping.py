@@ -29,7 +29,8 @@ The public solvers take one predictor and serve as the reference for the
 batched cores below, which advance a whole batch of predictors in
 lockstep for `scheme.run_batch`; every per-path update is elementwise,
 so a path's step does not depend on the other paths of a multi-row
-batch.
+batch.  Newton works on the rows still active and lists a lone active
+row twice, so its matrix products always go through gemm.
 """
 from __future__ import annotations
 
@@ -195,7 +196,7 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
     active = np.ones(m, dtype=bool)
 
     for _ in range(_NEWTON_CAP):
-        idx = np.nonzero(active)[0]
+        idx = _twin(np.nonzero(active)[0])
         if idx.size == 0:
             break
         ya = y[idx]
@@ -206,7 +207,7 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
         done = r <= tol
         if np.any(done):
             active[idx[done]] = False
-            keep = ~done
+            keep = _twin(np.nonzero(~done)[0])
             idx = idx[keep]
             if idx.size == 0:
                 break
@@ -250,15 +251,22 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
                 break
             t = np.where(accepted, t, t * 0.5)
         y[idx] = ycand
-        iters[idx] += 1
+        iters[idx] += 1  # once per path, also for a twinned row
 
     # refresh residuals for paths that converged on the last sweep
-    idx = np.nonzero(active)[0]
+    idx = _twin(np.nonzero(active)[0])
     if idx.size:
         grad = y[idx] - xhat[idx] - h * repulsion(a, kv, y[idx] @ a.T)
         res[idx] = np.sqrt(np.sum(grad * grad, axis=1))
         active[idx] = res[idx] > tol
     return y, iters, res, ~active
+
+
+def _twin(a: np.ndarray) -> np.ndarray:
+    """`a` with a lone row stacked twice: a one-row matrix product goes
+    through BLAS gemv, which sums in another order than the gemm of two or
+    more rows."""
+    return np.concatenate([a, a]) if a.shape[0] == 1 else a
 
 
 def _solve_spd(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:

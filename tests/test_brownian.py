@@ -88,9 +88,9 @@ def test_coarsen_rejects_non_divisor():
 def test_coarsen_endpoint_invariant_bitwise():
     # pairwise trees make B(T) independent of the resolution it is summed at
     x = _one(3, 256, 1.0, 77, 4)
-    end = pairwise_sum(x, axis=0)
+    end = pairwise_sum(x)
     for f in (2, 4, 16, 256):
-        assert np.array_equal(end, pairwise_sum(coarsen(x, f), axis=0))
+        assert np.array_equal(end, pairwise_sum(coarsen(x, f)))
 
 
 def test_coarsen_composition_bitwise():
@@ -150,6 +150,6 @@ def test_mean_se_from_sums_consistent():
     rng = np.random.default_rng(4)
     v = rng.normal(size=(1000, 2))
     m1, s1 = path_mean_se(v)
-    m2, s2 = mean_se_from_sums(pairwise_sum(v, 0), pairwise_sum(v ** 2, 0), 1000)
+    m2, s2 = mean_se_from_sums(pairwise_sum(v), pairwise_sum(v ** 2), 1000)
     assert m1 == pytest.approx(m2, abs=1e-14)
     assert s1 == pytest.approx(s2, abs=1e-14)

@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from dunklsim import batch_increments, fixed_point_certificate, run_batch, truncation_level
+from dunklsim import fixed_point_certificate, run_batch
+from dunklsim.brownian import batch_increments
 from dunklsim.cli import main
 from dunklsim.config import load_config
+from dunklsim.scheme import truncation_level
 
 MODEL_A2 = {
     "root_system": {"type": "A", "d": 2},

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from dunklsim import ConfigError, SchemeConfig, parse_config
+from dunklsim import ConfigError, SchemeConfig
+from dunklsim.config import parse_config
 from dunklsim.coefficients import DiagonalSigma, LinearDrift
 from dunklsim.timefn import SqrtAffineFn, TableFn
 

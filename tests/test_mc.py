@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklsim import (
-    ErrorCurve,
     FitError,
     GridError,
     ParameterError,
@@ -25,9 +24,9 @@ from dunklsim import (
     squared_mean_ode,
     strong_error,
     type_b_model,
-    wilson_interval,
 )
 from dunklsim import mc
+from dunklsim.mc import ErrorCurve, wilson_interval
 from dunklsim.brownian import batch_increments, coarsen
 from dunklsim.reductions import BLOCK
 

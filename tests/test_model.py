@@ -1,4 +1,4 @@
-"""Model layer: capped inverse, drifts, scale constants, assumption checks."""
+"""Model layer: the repulsion drift and its cap, scale constants, assumption checks."""
 import math
 
 import numpy as np
@@ -7,61 +7,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklsim import (
-    CallableDrift,
     ChamberError,
-    ConstantDrift,
     ConstantFn,
-    DiagonalSigma,
     DimensionError,
-    LinearDrift,
-    LinearSigma,
-    MatrixSigma,
-    ModelSpec,
     ParameterError,
     RootSystem,
-    ScalarSigma,
     SqrtAffineFn,
     TableFn,
-    ZeroDrift,
     bessel_model,
-    capped_inverse,
     dyson_model,
-    lipschitz_scale,
     make_type_a,
     make_type_b,
-    min_pairing,
-    moment_threshold,
     sample_chamber_points,
-    singular_drift,
-    truncated_drift,
     type_b_model,
-    validate_assumptions,
 )
+from dunklsim.coefficients import (ConstantDrift, DiagonalSigma, LinearSigma,
+                                   MatrixSigma, ScalarSigma, ZeroDrift)
+from dunklsim.model import (ModelSpec, lipschitz_scale, moment_threshold, repulsion,
+                            validate_assumptions)
+from dunklsim.roots import min_pairing
 
 D1 = RootSystem(dim=1, positive_roots=((1.0,),), orbits=((0,),))
+
+
+def _drift(m, t, x, eps=None):
+    """The engine's drift at x: f, or f_eps when a cap level is given."""
+    return repulsion(m.rs.matrix, m.k_at(t), m.rs.pairings(x), eps)
+
+
+def _capped_inverse(eps, s):
+    """1 / max(eps, s), read off the capped drift of a unit d = 1 model."""
+    return float(repulsion(D1.matrix, np.ones(1), np.array([[s]]), eps)[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # capped inverse g_eps(s) = 1 / max(eps, s)
 
 def test_capped_inverse_values():
-    assert capped_inverse(0.5, 0.2) == 2.0
-    assert capped_inverse(0.5, 4.0) == 0.25
-    assert capped_inverse(0.5, -7.0) == 2.0
-    assert capped_inverse(1.0, 1.0) == 1.0
-
-
-def test_capped_inverse_rejects_bad_eps():
-    with pytest.raises(ParameterError):
-        capped_inverse(0.0, 1.0)
-    with pytest.raises(ParameterError):
-        capped_inverse(-1.0, 1.0)
+    assert _capped_inverse(0.5, 0.2) == 2.0
+    assert _capped_inverse(0.5, 4.0) == 0.25
+    assert _capped_inverse(0.5, -7.0) == 2.0
+    assert _capped_inverse(1.0, 1.0) == 1.0
 
 
 @given(st.floats(0.01, 10), st.floats(-50, 50), st.floats(-50, 50))
 @settings(max_examples=200, deadline=None)
 def test_capped_inverse_lipschitz_bound(eps, s1, s2):
-    g1, g2 = capped_inverse(eps, s1), capped_inverse(eps, s2)
+    g1, g2 = _capped_inverse(eps, s1), _capped_inverse(eps, s2)
     assert abs(g1 - g2) <= abs(s1 - s2) / eps ** 2 + 1e-12
 
 
@@ -69,13 +61,13 @@ def test_capped_inverse_lipschitz_bound(eps, s1, s2):
 @settings(max_examples=200, deadline=None)
 def test_capped_inverse_monotone(eps, s1, s2):
     lo, hi = min(s1, s2), max(s1, s2)
-    assert capped_inverse(eps, lo) >= capped_inverse(eps, hi)
+    assert _capped_inverse(eps, lo) >= _capped_inverse(eps, hi)
 
 
 @given(st.floats(0.01, 10), st.floats(1e-3, 50))
 @settings(max_examples=200, deadline=None)
 def test_capped_inverse_gap_bound(eps, s):
-    gap = 1.0 / s - capped_inverse(eps, s)
+    gap = 1.0 / s - _capped_inverse(eps, s)
     assert -1e-15 <= gap <= eps / s ** 2 + 1e-12
 
 
@@ -84,38 +76,32 @@ def test_capped_inverse_gap_bound(eps, s):
 
 def test_singular_drift_oracles():
     m1 = bessel_model(k=1.0)
-    assert singular_drift(m1, 0.0, np.array([2.0])) == pytest.approx([0.5])
+    assert _drift(m1, 0.0, np.array([2.0])) == pytest.approx([0.5])
     m2 = dyson_model(2, k=1.0, xi=(1.0, -1.0))
-    f = singular_drift(m2, 0.0, np.array([1.0, -1.0]))
+    f = _drift(m2, 0.0, np.array([1.0, -1.0]))
     assert f == pytest.approx([0.5, -0.5])
 
 
 def test_singular_drift_batch():
     m = dyson_model(2, k=2.0)
     x = np.array([[1.0, -1.0], [2.0, 0.0]])
-    f = singular_drift(m, 0.0, x)
+    f = _drift(m, 0.0, x)
     assert f.shape == (2, 2)
     assert f[0] == pytest.approx([1.0, -1.0])
-
-
-def test_singular_drift_outside_chamber_raises():
-    m = dyson_model(2, k=1.0)
-    with pytest.raises(ChamberError):
-        singular_drift(m, 0.0, np.array([-1.0, 1.0]))
 
 
 def test_truncated_drift_matches_exact_when_uncapped():
     m = dyson_model(3, k=2.5)
     x = np.array([3.0, 0.0, -3.0])
-    exact = singular_drift(m, 0.3, x)
-    capped = truncated_drift(m, 0.3, x, eps=1.0)
+    exact = _drift(m, 0.3, x)
+    capped = _drift(m, 0.3, x, eps=1.0)
     assert np.allclose(exact, capped, atol=1e-15)
 
 
 def test_truncated_drift_cap_active():
     m = bessel_model(k=1.0)
     # pairing 0.1 < eps 0.5 -> weight k/eps = 2
-    assert truncated_drift(m, 0.0, np.array([0.1]), eps=0.5) == pytest.approx([2.0])
+    assert _drift(m, 0.0, np.array([0.1]), eps=0.5) == pytest.approx([2.0])
 
 
 _interior_pair = st.tuples(st.floats(-10, 10), st.floats(-10, 10),
@@ -129,8 +115,8 @@ def test_truncated_drift_monotone(pts, eps):
     m = dyson_model(2, k=3.0)
     x = np.array(pts[:2])
     y = np.array(pts[2:])
-    fx = truncated_drift(m, 0.0, x, eps)
-    fy = truncated_drift(m, 0.0, y, eps)
+    fx = _drift(m, 0.0, x, eps)
+    fy = _drift(m, 0.0, y, eps)
     assert float((x - y) @ (fx - fy)) <= 1e-12
 
 
@@ -140,8 +126,8 @@ def test_truncated_drift_lipschitz(pts, eps):
     m = dyson_model(2, k=3.0)
     x = np.array(pts[:2])
     y = np.array(pts[2:])
-    fx = truncated_drift(m, 0.0, x, eps)
-    fy = truncated_drift(m, 0.0, y, eps)
+    fx = _drift(m, 0.0, x, eps)
+    fy = _drift(m, 0.0, y, eps)
     L = lipschitz_scale(m)
     assert np.linalg.norm(fx - fy) <= L / eps ** 2 * np.linalg.norm(x - y) + 1e-9
 
@@ -152,7 +138,7 @@ def test_truncated_drift_inner_product_bound(pts, eps):
     # <x, f_eps(x)> <= sum_alpha k_alpha since p * g_eps(p) <= 1
     m = dyson_model(2, k=3.0)
     x = np.array(pts[:2])
-    f = truncated_drift(m, 0.0, x, eps)
+    f = _drift(m, 0.0, x, eps)
     assert float(x @ f) <= float(np.sum(m.k_at(0.0))) + 1e-12
 
 
@@ -163,7 +149,7 @@ def test_exact_drift_gap_bound_sampled():
     pts = sample_chamber_points(m.rs, 50, rng)
     for eps in (0.01, 0.1, 1.0):
         for x in pts:
-            gap = np.linalg.norm(singular_drift(m, 0.0, x) - truncated_drift(m, 0.0, x, eps))
+            gap = np.linalg.norm(_drift(m, 0.0, x) - _drift(m, 0.0, x, eps))
             p = m.rs.pairings(x)
             bound = float(np.sum(m.k_at(0.0) * np.sqrt(m.rs.norms_sq) * eps / p ** 2))
             assert gap <= bound + 1e-12
@@ -319,16 +305,6 @@ def test_assumptions_linear_drift_bound():
     rep = validate_assumptions(m)
     assert rep.drift_alignment.ok
     assert rep.alignment_bound == pytest.approx(0.7)
-
-
-def test_assumptions_callable_drift_sampled():
-    drift = CallableDrift(fn=lambda t, x: -0.5 * x, lipschitz_constant=0.5)
-    m = ModelSpec(rs=make_type_a(2), T=1.0, xi=(1.0, -1.0),
-                  sigma=ScalarSigma(1.0), drift=drift, k=(4.0,))
-    rep = validate_assumptions(m, sample_count=64)
-    assert rep.drift_alignment.status == "sampled-pass"
-    assert rep.drift_alignment.samples > 0
-    assert rep.alignment_bound == pytest.approx(0.5, abs=1e-6)
 
 
 def test_sample_chamber_points_respect_wall_range():

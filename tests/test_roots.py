@@ -10,15 +10,14 @@ from dunklsim import (
     ChamberError,
     DimensionError,
     ParameterError,
-    Root,
     RootSystem,
     direct_sum,
     make_type_a,
     make_type_b,
-    min_pairing,
     pairing_identity_residual,
     validate_axioms,
 )
+from dunklsim.roots import Root, min_pairing
 
 
 # ---------------------------------------------------------------------------

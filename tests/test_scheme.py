@@ -15,10 +15,10 @@ from dunklsim import (
     closed_form_step_1d,
     dyson_model,
     run_batch,
-    truncation_level,
     type_b_model,
 )
 from dunklsim.brownian import batch_increments
+from dunklsim.scheme import truncation_level
 from dunklsim.stepping import _newton_batch
 
 IDS = np.arange(8, dtype=np.uint64)
@@ -205,29 +205,31 @@ def test_truncated_single_path_variant():
     assert out.in_chamber[0].all() == (fv == -1)
 
 
-TRUNCATED_MODELS = {
+MODELS = {
     "D1": lambda: bessel_model(k=1.0, xi=0.3),
     "A2": lambda: dyson_model(2, k=4.0),
     "A3": lambda: dyson_model(3, k=2.0),
     "A4": lambda: dyson_model(4, k=1.0),
+    "A5": lambda: dyson_model(5, k=1.0),
     "B2": lambda: type_b_model(2, k_long=2.0, k_short=1.0),
     "B3": lambda: type_b_model(3, k_long=1.5, k_short=0.7),
+    "B4": lambda: type_b_model(4, k_long=1.0, k_short=0.5),
 }
 
 
-@given(st.sampled_from(sorted(TRUNCATED_MODELS)), st.floats(0.0, 0.5),
-       st.floats(1.05, 3.0), st.integers(0, 2**32 - 1), st.permutations(range(9)),
-       st.integers(2, 7))
+@given(st.sampled_from(sorted(MODELS)), st.sampled_from(("exact", "truncated")),
+       st.floats(0.0, 0.5), st.floats(1.05, 3.0), st.integers(0, 2**32 - 1),
+       st.permutations(range(9)), st.integers(1, 8))
 @settings(max_examples=40, deadline=None)
 def test_truncated_rows_invariant_under_permutation_and_sub_batches(
-        name, theta, c, seed, perm, cut):
-    """Truncated run_batch rows, and the sweep counts at which each path's
-    fixed point stopped, are bitwise the same in any order of the batch and
-    in any sub-batch of at least two rows.  One-row batches are left out:
-    a one-row root contraction goes through BLAS gemv rather than gemm and
-    may differ in the last ulp (ROADMAP item 4)."""
-    m = TRUNCATED_MODELS[name]()
-    cfg = SchemeConfig(variant="truncated", theta=theta, n=16, c=c)
+        name, variant, theta, c, seed, perm, cut):
+    """run_batch rows, the first violations and the per-path solver
+    iteration counts are bitwise the same in any order of the batch and in
+    any sub-batch, one row included, for both variants."""
+    m = MODELS[name]()
+    if variant == "exact":
+        theta = min(theta, 0.49)
+    cfg = SchemeConfig(variant=variant, theta=theta, n=16, c=c)
     ids = np.arange(9, dtype=np.uint64)
     perm = np.array(perm)
 
@@ -242,6 +244,26 @@ def test_truncated_rows_invariant_under_permutation_and_sub_batches(
     parts = [run(perm[:cut]), run(perm[cut:])]
     for j, want in enumerate(full):
         assert np.array_equal(np.concatenate([p[j] for p in parts]), want[perm])
+    for got, want in zip(run(perm[:1]), full):
+        assert np.array_equal(got, want[perm[:1]])
+
+
+@pytest.mark.parametrize("name", ["A5", "B4"])
+@pytest.mark.parametrize("variant", ["exact", "truncated"])
+def test_one_path_batch_matches_its_row(name, variant):
+    """Run and audit of a one-path batch are bitwise the path's row of a
+    larger batch on systems with many roots, where a one-row product
+    would sum in another order."""
+    m = MODELS[name]()
+    cfg = SchemeConfig(variant=variant, theta=0.25, n=32)
+    ids = np.arange(6, dtype=np.uint64)
+    inc = batch_increments(m.brownian_dim, 32, m.T, 3, ids)
+    out = run_batch(m, cfg, inc)
+    res = audit_batch(m, cfg, inc, out.states)
+    for i in range(ids.size):
+        one = run_batch(m, cfg, inc[i:i + 1])
+        assert np.array_equal(one.states[0], out.states[i])
+        assert np.array_equal(audit_batch(m, cfg, inc[i:i + 1], one.states)[0], res[i])
 
 
 def test_iterations_recorded():

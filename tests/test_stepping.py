@@ -18,9 +18,8 @@ from dunklsim import (
     sample_chamber_points,
     solve_exact_step,
     solve_truncated_step,
-    step_residual,
 )
-from dunklsim.stepping import _fixed_point_batch
+from dunklsim.stepping import _fixed_point_batch, step_residual
 
 D1 = RootSystem(dim=1, positive_roots=((1.0,),), orbits=((0,),))
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklsim import ConstantFn, ParameterError, SqrtAffineFn, TableFn, as_timefn
-from dunklsim.timefn import time_lattice
+from dunklsim import ConstantFn, ParameterError, SqrtAffineFn, TableFn
+from dunklsim.timefn import as_timefn, time_lattice
 
 
 def test_constant_basics():

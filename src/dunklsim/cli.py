@@ -34,7 +34,7 @@ from .mc import (RATE_THRESHOLD, chamber_exit, cir_mean_check, fit_order,
                  increment_scaling, negative_moments, strong_error)
 from .model import lipschitz_scale, moment_threshold, validate_assumptions
 from .roots import validate_axioms
-from .scheme import fixed_point_cap, run_batch, truncation_level
+from .scheme import _closed_form_ok, fixed_point_cap, run_batch, truncation_level
 
 
 def _fmt(v) -> str:
@@ -302,8 +302,9 @@ def cmd_describe(args) -> int:
         line = f"grid n = {n:<8d}: dt = {m.T / n:.17g}"
         if s.variant == "truncated":
             cfg_n = s.resolve(n)
-            line += (f", cap level = {truncation_level(m, cfg_n):.17g}"
-                     f", fixed-point cap m* = {fixed_point_cap(m, cfg_n)}")
+            line += (f", cap level = {truncation_level(m, cfg_n):.17g}, "
+                     + ("closed-form step" if _closed_form_ok(m.rs)
+                        else f"fixed-point cap m* = {fixed_point_cap(m, cfg_n)}"))
         print(line)
 
     need = RATE_THRESHOLD[s.variant]

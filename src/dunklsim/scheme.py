@@ -12,6 +12,9 @@ eps-capped version for the truncated variant (theta in [0, 1), cap level
 eps_n = c sqrt(L dt) with c > 1, states may leave the chamber and the
 first violation is recorded rather than raised).  Both f and its capped
 form are `model.repulsion`, shared with the step solvers and the audit.
+When the positive roots are mutually orthogonal (d=1, A(2), B(1) and
+their direct sums) the engine solves either step in closed form and
+records 0 solver iterations; otherwise it iterates.
 
 `run_batch` is the only way to simulate: it advances a batch of paths in
 lockstep from their increments (`brownian.batch_increments`), and a
@@ -35,7 +38,7 @@ from .coefficients import ZeroDrift
 from .errors import DimensionError, GridError, ParameterError, PathSolverError
 from .model import ModelSpec, lipschitz_scale, repulsion
 from .roots import RootSystem
-from .stepping import (_certificate, _fixed_point_batch, _newton_batch, _quadratic_root,
+from .stepping import (_certificate, _fixed_point_batch, _newton_batch, _orthogonal_batch,
                        _twin)
 
 VARIANTS = ("exact", "truncated")
@@ -90,15 +93,25 @@ def truncation_level(m: ModelSpec, cfg: SchemeConfig) -> float:
 def fixed_point_cap(m: ModelSpec, cfg: SchemeConfig) -> int:
     """Largest a priori count m* of the capped step over the grid's step
     times: no truncated step of the run sweeps more often."""
-    grid = TimeGrid(cfg.n, m.T)
+    return max(c[0] for c in _step_certificates(m, cfg, TimeGrid(cfg.n, m.T)))
+
+
+def _step_certificates(m: ModelSpec, cfg: SchemeConfig,
+                       grid: TimeGrid) -> list[tuple[int, float, float]]:
+    """The capped step's certificate (m*, rho, B0) at each step of the grid,
+    computed once per distinct row of strengths."""
     h = (1.0 - cfg.theta) * grid.dt
     eps = truncation_level(m, cfg)
-    return max(_certificate(m.rs, kv, h, eps, cfg.solver_tol)[0]
-               for kv in np.unique(m.k_at(grid.times[1:]), axis=0))
+    rows, inverse = np.unique(m.k_at(grid.times[1:]), axis=0, return_inverse=True)
+    certs = [_certificate(m.rs, kv, h, eps, cfg.solver_tol) for kv in rows]
+    return [certs[i] for i in inverse.ravel()]
 
 
 def _closed_form_ok(rs: RootSystem) -> bool:
-    return rs.dim == 1 and rs.n_roots == 1 and rs.matrix[0, 0] > 0.0
+    """Mutually orthogonal roots (d=1, A(2), B(1) and their direct sums):
+    the implicit step splits into one scalar quadratic per root."""
+    gram = rs.matrix @ rs.matrix.T
+    return np.count_nonzero(gram - np.diag(np.diag(gram))) == 0
 
 
 def _predictor(m: ModelSpec, cfg: SchemeConfig, grid: TimeGrid, kvg: np.ndarray,
@@ -141,7 +154,8 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     truncated = cfg.variant == "truncated"
     eps = truncation_level(m, cfg) if truncated else None
     h = (1.0 - cfg.theta) * grid.dt
-    closed_form = (not truncated) and _closed_form_ok(rs)
+    closed_form = _closed_form_ok(rs)
+    certs = _step_certificates(m, cfg, grid) if truncated and not closed_form else None
 
     if cfg.n % store_stride != 0:
         raise GridError(f"store stride {store_stride} does not divide n={cfg.n}")
@@ -156,22 +170,10 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     for l in range(cfg.n):
         xhat = _predictor(m, cfg, grid, kvg, eps, l, x, inc[:, l], npaths)
         kv = kvg[l + 1]
-        if truncated:
-            x, iters = _fixed_point_batch(rs, kv, xhat, h, eps, cfg.solver_tol)
-            if iter_rec is not None:
-                iter_rec[:, l] = iters
-            pmin = (x @ a.T).min(axis=1)
-            bad = pmin <= 0.0
-            newly = bad & ~exited
-            if np.any(newly):
-                first_violation[newly] = l + 1
-                exited |= newly
-            if flags is not None:
-                flags[:, l + 1] = ~bad
-        elif closed_form:
-            x = _quadratic_root(xhat[:, 0], h, kv[0])[:, None]
-            if iter_rec is not None:
-                iter_rec[:, l] = 0
+        if closed_form:
+            x, iters = _orthogonal_batch(rs, kv, xhat, h, eps), 0
+        elif truncated:
+            x, iters = _fixed_point_batch(rs, kv, xhat, h, eps, certs[l])
         else:
             y, iters, res, ok = _newton_batch(rs, kv, xhat, h, cfg.solver_tol)
             if not ok.all():
@@ -181,8 +183,17 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
                     step=l + 1, path_ids=bad_ids.tolist(),
                     best=y[bad_ids[0]], residual=float(res[bad_ids[0]]))
             x = y
-            if iter_rec is not None:
-                iter_rec[:, l] = iters
+        if iter_rec is not None:
+            iter_rec[:, l] = iters
+        if truncated:
+            pmin = (x @ a.T).min(axis=1)
+            bad = pmin <= 0.0
+            newly = bad & ~exited
+            if np.any(newly):
+                first_violation[newly] = l + 1
+                exited |= newly
+            if flags is not None:
+                flags[:, l + 1] = ~bad
 
         if (l + 1) % store_stride == 0:
             states[:, (l + 1) // store_stride] = x

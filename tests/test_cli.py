@@ -63,6 +63,8 @@ def test_describe_reports_scales(tmp_path, capsys):
 def test_describe_prints_fixed_point_cap(tmp_path, capsys):
     # k peaks mid-run, so the largest a priori count sits at neither end
     doc = _simulate_cfg(tmp_path)
+    doc["model"]["root_system"] = {"type": "A", "d": 3}
+    doc["model"]["xi"] = [1.0, 0.0, -1.0]
     doc["model"]["k"] = [{"form": "table", "t": [0.0, 0.5, 1.0], "v": [1.0, 6.0, 2.0]}]
     doc["scheme"] = {"variant": "truncated", "theta": 0.25, "c": 1.3}
     doc["run"]["n"] = 10
@@ -74,13 +76,27 @@ def test_describe_prints_fixed_point_cap(tmp_path, capsys):
     m, scheme = cfg.model, cfg.scheme.resolve(10)
     h = 0.75 * 0.1
     eps = truncation_level(m, scheme)
-    counts = [fixed_point_certificate(m.rs, m.k_at(t), h, eps, 1e-10)[0]
+    counts = [fixed_point_certificate(m.rs, [fn(t) for fn in m.k], h, eps, 1e-10)[0]
               for t in np.arange(1, 11) * 0.1]
     assert max(counts) > max(counts[0], counts[-1])
     assert f"cap level = {eps:.17g}, fixed-point cap m* = {max(counts)}\n" in out
     inc = batch_increments(m.brownian_dim, 10, m.T, 5, np.arange(16))
     iters = run_batch(m, scheme, inc, record_iterations=True).iterations
     assert 1 <= iters.min() and iters.max() <= max(counts)
+
+
+def test_describe_names_closed_form_step(tmp_path, capsys):
+    # A(2) has one positive root: the capped step is solved in closed form
+    doc = _simulate_cfg(tmp_path)
+    doc["scheme"] = {"variant": "truncated", "theta": 0.0}
+    doc["run"]["n"] = 10
+    path = _write(tmp_path, doc)
+    assert main(["describe", path]) == 0
+    out = capsys.readouterr().out
+    cfg = load_config(path)
+    eps = truncation_level(cfg.model, cfg.scheme.resolve(10))
+    assert f"cap level = {eps:.17g}, closed-form step\n" in out
+    assert "fixed-point cap" not in out
 
 
 def test_describe_quiet_when_guarantee_holds(tmp_path, capsys):
@@ -241,6 +257,8 @@ def test_validate_rejects_nonpositive_flags(tmp_path, capsys, flag):
 
 def test_solver_failure_exits_3(tmp_path, capsys):
     doc = _simulate_cfg(tmp_path)
+    doc["model"]["root_system"] = {"type": "A", "d": 3}
+    doc["model"]["xi"] = [1.0, 0.0, -1.0]
     doc["scheme"]["solver_tol"] = 1e-300               # never certified
     doc["run"].update({"M": 2, "n": 2})
     rc = main(["run", _write(tmp_path, doc)])

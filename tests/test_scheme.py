@@ -1,4 +1,5 @@
 """Interior-preserving theta schemes over full paths."""
+import functools
 import math
 
 import numpy as np
@@ -9,23 +10,42 @@ from hypothesis import strategies as st
 from dunklsim import (
     ParameterError,
     PathSolverError,
+    RootSystem,
     SchemeConfig,
     audit_batch,
     bessel_model,
     closed_form_step_1d,
+    direct_sum,
     dyson_model,
+    fixed_point_certificate,
+    make_type_a,
+    make_type_b,
     run_batch,
+    solve_exact_step,
+    solve_truncated_step,
     type_b_model,
 )
 from dunklsim.brownian import batch_increments
-from dunklsim.scheme import truncation_level
+from dunklsim.coefficients import ScalarSigma, ZeroDrift
+from dunklsim.model import ModelSpec
+from dunklsim.scheme import _closed_form_ok, truncation_level
 from dunklsim.stepping import _newton_batch
 
 IDS = np.arange(8, dtype=np.uint64)
 
 
+D1 = RootSystem(dim=1, positive_roots=((1.0,),), orbits=((0,),))
+
+
 def _paths(m, n, seed, count=8):
     return batch_increments(m.rs.dim, n, m.T, seed, np.arange(count, dtype=np.uint64))
+
+
+def _sum_model(parts, k, xi):
+    """Unit-noise, driftless model on the direct sum of `parts`, with one
+    constant strength per orbit."""
+    return ModelSpec(rs=functools.reduce(direct_sum, parts), T=1.0, xi=tuple(xi), sigma=ScalarSigma(1.0),
+                     drift=ZeroDrift(), k=tuple(k))
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +67,7 @@ def test_theta_range_by_variant():
 
 
 def test_run_batch_solver_failure_names_step_and_paths():
-    m = dyson_model(2, k=4.0)
+    m = dyson_model(3, k=4.0)
     cfg = SchemeConfig(variant="exact", theta=0.0, n=4, solver_tol=1e-300)
     inc = _paths(m, cfg.n, seed=2)
     with pytest.raises(PathSolverError) as exc:
@@ -60,7 +80,7 @@ def test_run_batch_solver_failure_names_step_and_paths():
     failed = np.nonzero(~ok)[0]
     assert failed.size and exc.value.path_ids == failed.tolist()
     assert np.all(iters[failed] == 200)
-    assert exc.value.best.shape == (2,)
+    assert exc.value.best.shape == (3,)
 
 
 def test_truncation_level_formula():
@@ -214,18 +234,24 @@ MODELS = {
     "B2": lambda: type_b_model(2, k_long=2.0, k_short=1.0),
     "B3": lambda: type_b_model(3, k_long=1.5, k_short=0.7),
     "B4": lambda: type_b_model(4, k_long=1.0, k_short=0.5),
+    "A6": lambda: dyson_model(6, k=1.0),
+    "B5": lambda: type_b_model(5, k_long=1.0, k_short=0.5),
+    "A2+D1": lambda: _sum_model([make_type_a(2), D1], [4.0, 1.0], [0.5, -0.5, 0.4]),
+    "A3+B2": lambda: _sum_model([make_type_a(3), make_type_b(2)], [2.0, 2.0, 1.0],
+                                [1.0, 0.0, -1.0, 1.0, 0.5]),
 }
 
 
 @given(st.sampled_from(sorted(MODELS)), st.sampled_from(("exact", "truncated")),
        st.floats(0.0, 0.5), st.floats(1.05, 3.0), st.integers(0, 2**32 - 1),
        st.permutations(range(9)), st.integers(1, 8))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_truncated_rows_invariant_under_permutation_and_sub_batches(
         name, variant, theta, c, seed, perm, cut):
     """run_batch rows, the first violations and the per-path solver
     iteration counts are bitwise the same in any order of the batch and in
-    any sub-batch, one row included, for both variants."""
+    any sub-batch, one row included, for both variants, on closed-form
+    (D1, A2, A2+D1) and iterative systems alike."""
     m = MODELS[name]()
     if variant == "exact":
         theta = min(theta, 0.49)
@@ -267,8 +293,61 @@ def test_one_path_batch_matches_its_row(name, variant):
 
 
 def test_iterations_recorded():
-    m = dyson_model(2, k=4.0)
+    m = dyson_model(3, k=4.0)
     cfg = SchemeConfig(variant="exact", theta=0.0, n=16)
     out = run_batch(m, cfg, _paths(m, 16, 6), record_iterations=True)
     assert out.iterations.shape == (8, 16)
     assert np.all(out.iterations >= 1)
+
+
+# ---------------------------------------------------------------------------
+# closed-form step for orthogonal root sets
+
+ORTHOGONAL = {
+    "D1": lambda k: bessel_model(k=k, xi=0.7),
+    "A2": lambda k: dyson_model(2, k=k),
+    "A2+D1": lambda k: _sum_model([make_type_a(2), D1], [k, 0.5 * k], [0.5, -0.5, 0.4]),
+    "D1+D1": lambda k: _sum_model([D1, D1], [k, 2.0 * k], [0.3, 1.2]),
+}
+
+
+def test_closed_form_only_for_orthogonal_roots():
+    for make in ORTHOGONAL.values():
+        assert _closed_form_ok(make(1.0).rs)
+    skew = RootSystem(dim=2, positive_roots=((1.0, 0.0), (1.0, 1.0)), orbits=((0, 1),))
+    for rs in (make_type_a(3), make_type_b(2), skew):
+        assert not _closed_form_ok(rs)
+
+
+@given(st.sampled_from(sorted(ORTHOGONAL)), st.sampled_from(("exact", "truncated")),
+       st.floats(0.1, 8.0), st.floats(1.05, 3.0), st.integers(1, 6),
+       st.floats(0.05, 3.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_rows_match_reference_solvers(name, variant, k, c, n, spread, seed):
+    """Every step of a closed-form run agrees with the iterative reference
+    solver on the same predictor: within Newton's tolerance (exact) or the
+    certified bound B0 rho^{m*} (capped).  Row 0 starts from a predictor
+    with every pairing negative, so its first capped step is on the cap."""
+    m = ORTHOGONAL[name](k)
+    cfg = SchemeConfig(variant=variant, theta=0.0, n=n, c=c)
+    inc = np.random.default_rng(seed).normal(size=(4, n, m.dim)) * spread
+    inc[0, 0] = -2.0 * m.xi_array
+    out = run_batch(m, cfg, inc, record_iterations=True)
+    assert np.all(out.iterations == 0)
+    h = m.T / n
+    k_orbit = [fn(0.0) for fn in m.k]
+    if variant == "truncated":
+        eps = truncation_level(m, cfg)
+        m_star, rho, b0 = fixed_point_certificate(m.rs, k_orbit, h, eps, cfg.solver_tol)
+        bound = b0 * rho ** m_star
+        assert np.all(m.rs.pairings(out.states[0, 1]) < eps)
+    for l in range(n):
+        for i in range(inc.shape[0]):
+            xhat = out.states[i, l] + inc[i, l]          # sigma = 1, no drift, theta = 0
+            y = out.states[i, l + 1]
+            if variant == "exact":
+                ref = solve_exact_step(m.rs, k_orbit, xhat, h, cfg.solver_tol)
+                assert np.linalg.norm(y - ref.y) <= cfg.solver_tol + 1e-12
+            else:
+                ref = solve_truncated_step(m.rs, k_orbit, xhat, h, eps, cfg.solver_tol)
+                assert np.linalg.norm(y - ref.y) <= bound + 1e-12

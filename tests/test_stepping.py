@@ -163,7 +163,7 @@ def test_capped_early_exit_within_certified_bound(name, rho_target, eps, spread,
     h = rho_target * eps * eps / float(np.sum(kv * rs.norms_sq))
     xhat = np.random.default_rng(seed).normal(size=(16, rs.dim)) * spread
     m_star, rho, b0 = fixed_point_certificate(rs, k, h, eps, 1e-10)
-    y, iters = _fixed_point_batch(rs, kv, xhat, h, eps, 1e-10)
+    y, iters = _fixed_point_batch(rs, kv, xhat, h, eps, (m_star, rho, b0))
     y_ref = xhat.copy()
     for _ in range(10 * m_star):
         w = kv / np.maximum(eps, rs.pairings(y_ref))

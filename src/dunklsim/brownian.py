@@ -65,8 +65,17 @@ def batch_increments(r: int, finest_n: int, T: float, master_seed: int,
     grid = TimeGrid(n=finest_n, T=T)
     scale = np.sqrt(grid.dt)
     out = np.empty((len(path_ids), finest_n, r))
+    # One Philox per call, re-keyed per path to path_rng's fresh state
+    # (counter zero, empty buffer); local, since chunks run on threads.
+    bitgen = np.random.Philox(key=np.array([_check_seed("master_seed", master_seed), 0],
+                                           dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
     for i, pid in enumerate(path_ids):
-        out[i] = path_rng(master_seed, int(pid)).standard_normal((finest_n, r))
+        key[1] = _check_seed("path_id", int(pid))
+        bitgen.state = fresh
+        out[i] = gen.standard_normal((finest_n, r))
     out *= scale
     return out
 

@@ -7,7 +7,7 @@
 Outputs land in the run's output directory: one CSV per experiment (17
 significant digits), summary.json with the headline numbers, and
 manifest.json listing every file written.  Files are written atomically
-(temp file + rename).
+(temp file + rename); `simulate` streams one chunk of paths at a time.
 
 Exit codes: 0 success, 1 unwritable output, 2 invalid config or failed
 validation, 3 solver failure.
@@ -21,8 +21,10 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -30,19 +32,11 @@ from . import __version__
 from .brownian import TimeGrid, batch_increments
 from .config import _KINDS, ExperimentConfig, _cir_constants, load_config
 from .errors import ConfigError, DunklSimError, FitError, SolverError
-from .mc import (RATE_THRESHOLD, chamber_exit, cir_mean_check, fit_order,
+from .mc import (RATE_THRESHOLD, _chunk_size, chamber_exit, cir_mean_check, fit_order,
                  increment_scaling, negative_moments, strong_error)
 from .model import lipschitz_scale, moment_threshold, validate_assumptions
 from .roots import validate_axioms
 from .scheme import _closed_form_ok, fixed_point_cap, run_batch, truncation_level
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
 
 
 def _jsonable(o):
@@ -55,26 +49,40 @@ def _jsonable(o):
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
-def _atomic_write(path: str, text: str) -> None:
+@contextmanager
+def _atomic_open(path: str):
+    """Write to path.tmp, renamed over path on success and removed on any
+    exception, so path is never left half written."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def _write_csv(out_dir: str, name: str, header: tuple[str, ...], rows) -> int:
-    lines = [",".join(header)]
-    count = 0
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-        count += 1
-    _atomic_write(os.path.join(out_dir, name), "\n".join(lines) + "\n")
+def _write_csv_blocks(out_dir: str, name: str, header: tuple[str, ...], blocks) -> int:
+    """Write the header, then each block of columns (scalars broadcast) as
+    rows; returns the row count.  A column's dtype fixes its text: %d for
+    int and bool, %.17g (17 significant digits) for float."""
+    with _atomic_open(os.path.join(out_dir, name)) as fh:
+        fh.write(",".join(header) + "\n")
+        count = 0
+        for block in blocks:
+            cols = np.broadcast_arrays(*(np.atleast_1d(c) for c in block))
+            row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in cols) + "\n"
+            fh.write((row * len(cols[0]))
+                     % tuple(chain.from_iterable(zip(*(c.tolist() for c in cols)))))
+            count += len(cols[0])
     return count
 
 
 def _write_json(out_dir: str, name: str, obj) -> None:
-    _atomic_write(os.path.join(out_dir, name),
-                  json.dumps(obj, indent=2, default=_jsonable) + "\n")
+    with _atomic_open(os.path.join(out_dir, name)) as fh:
+        fh.write(json.dumps(obj, indent=2, default=_jsonable) + "\n")
 
 
 def _try_fit(curve):
@@ -92,39 +100,36 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
     m = cfg.model
     s = cfg.scheme
     seed = cfg.master_seed
-    files: list[tuple[str, int]] = []
+    csv = None  # (file name, header, blocks of columns)
     ok = True
 
     if cfg.kind == "simulate":
         sch = s.resolve(cfg.n)
-        inc = batch_increments(m.brownian_dim, cfg.n, m.T, seed,
-                               np.arange(cfg.M))
-        res = run_batch(m, sch, inc, record_flags=True)
+        steps = np.arange(cfg.n + 1)
         times = TimeGrid(cfg.n, m.T).times
+        chunk = _chunk_size(cfg.n, max(m.brownian_dim, m.dim))
+        results = {"exited_paths": 0, "M": cfg.M, "n": cfg.n}
 
-        def rows():
-            for pid in range(cfg.M):
-                for step in range(cfg.n + 1):
-                    yield (pid, step, times[step], *res.states[pid, step],
-                           res.in_chamber[pid, step])
+        def blocks():
+            # One chunk of paths at a time, in path order, one block per
+            # path; exited_paths is complete once the writer has drained this.
+            for start in range(0, cfg.M, chunk):
+                ids = np.arange(start, min(start + chunk, cfg.M))
+                res = run_batch(m, sch, batch_increments(m.brownian_dim, cfg.n, m.T,
+                                                         seed, ids), record_flags=True)
+                results["exited_paths"] += int(res.exited.sum())
+                for pid, x, flags in zip(ids, res.states, res.in_chamber):
+                    yield (pid, steps, times, *x.T, flags)
 
-        header = ("path_id", "step", "t",
-                  *(f"x_{i}" for i in range(m.dim)), "in_chamber")
-        files.append(("paths.csv", _write_csv(out_dir, "paths.csv", header, rows())))
-        results = {"exited_paths": int(res.exited.sum()),
-                   "M": cfg.M, "n": cfg.n}
+        csv = ("paths.csv", ("path_id", "step", "t", *(f"x_{i}" for i in range(m.dim)),
+                             "in_chamber"), blocks())
 
     elif cfg.kind == "convergence":
         curve = strong_error(m, s.theta, cfg.n_list, cfg.n_ref, cfg.M, seed,
                              variant=s.variant, c=s.c,
                              solver_tol=s.solver_tol, threads=threads)
-        rows = [(n, e, se, curve.M, curve.n_ref)
-                for n, e, se in zip(curve.n_values, curve.rms_errors,
-                                    curve.std_errors)]
-        files.append(("convergence.csv",
-                      _write_csv(out_dir, "convergence.csv",
-                                 ("n", "rms_sup_error", "std_error", "M", "n_ref"),
-                                 rows)))
+        csv = ("convergence.csv", ("n", "rms_sup_error", "std_error", "M", "n_ref"),
+               [(curve.n_values, curve.rms_errors, curve.std_errors, curve.M, curve.n_ref)])
         results = {"fit": _try_fit(curve), "variant": curve.variant,
                    "M": curve.M, "n_ref": curve.n_ref}
 
@@ -132,16 +137,9 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
         rep = negative_moments(m, cfg.params["p"], s.theta, cfg.n, cfg.M, seed,
                                pathwise_sup=cfg.params["pathwise_sup"],
                                solver_tol=s.solver_tol, threads=threads)
-
-        def rows():
-            for ri in range(rep.estimates.shape[0]):
-                for j, t in enumerate(rep.times):
-                    yield (ri, t, rep.p, rep.estimates[ri, j], rep.std_errors[ri, j])
-
-        files.append(("moments.csv",
-                      _write_csv(out_dir, "moments.csv",
-                                 ("root_index", "t", "p", "estimate", "std_error"),
-                                 rows())))
+        csv = ("moments.csv", ("root_index", "t", "p", "estimate", "std_error"),
+               [(ri, rep.times, rep.p, est, se)
+                for ri, (est, se) in enumerate(zip(rep.estimates, rep.std_errors))])
         results = {"p": rep.p, "max_estimate": rep.max_estimate, "M": rep.M}
         if rep.sup_estimates is not None:
             results["sup_estimates"] = rep.sup_estimates
@@ -150,24 +148,16 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
     elif cfg.kind == "increments":
         rep = increment_scaling(m, s.theta, cfg.n, cfg.M, cfg.params["lags"],
                                 seed, solver_tol=s.solver_tol, threads=threads)
-        rows = [(lag, e, se) for lag, e, se in
-                zip(rep.lags, rep.estimates, rep.std_errors)]
-        files.append(("increments.csv",
-                      _write_csv(out_dir, "increments.csv",
-                                 ("lag", "mean_square_increment", "std_error"),
-                                 rows)))
+        csv = ("increments.csv", ("lag", "mean_square_increment", "std_error"),
+               [(rep.lags, rep.estimates, rep.std_errors)])
         results = {"slope": rep.slope, "M": rep.M, "n": rep.n}
 
     elif cfg.kind == "chamber-exit":
         rep = chamber_exit(m, s.theta, s.c, cfg.n_list, cfg.M, seed,
                            variant=s.variant, solver_tol=s.solver_tol,
                            threads=threads)
-        rows = [(n, f, lo, hi) for n, f, lo, hi in
-                zip(rep.n_values, rep.fractions, rep.ci_low, rep.ci_high)]
-        files.append(("exit.csv",
-                      _write_csv(out_dir, "exit.csv",
-                                 ("n", "exit_fraction", "ci_low", "ci_high"),
-                                 rows)))
+        csv = ("exit.csv", ("n", "exit_fraction", "ci_low", "ci_high"),
+               [(rep.n_values, rep.fractions, rep.ci_low, rep.ci_high)])
         results = {"counts": list(rep.counts), "decay_slope": rep.decay_slope,
                    "M": rep.M}
 
@@ -175,12 +165,8 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
         k0, sigma0, lam0, xi0, T = _cir_constants(m)
         rep = cir_mean_check(k0, sigma0, lam0, xi0, T, s.theta, cfg.n, cfg.M,
                              seed, solver_tol=s.solver_tol, threads=threads)
-        files.append(("cir.csv",
-                      _write_csv(out_dir, "cir.csv",
-                                 ("mc_mean", "std_error", "ode_mean", "z_score",
-                                  "n", "M"),
-                                 [(rep.mc_mean, rep.std_error, rep.ode_mean,
-                                   rep.z_score, rep.n, rep.M)])))
+        csv = ("cir.csv", ("mc_mean", "std_error", "ode_mean", "z_score", "n", "M"),
+               [(rep.mc_mean, rep.std_error, rep.ode_mean, rep.z_score, rep.n, rep.M)])
         results = {"mc_mean": rep.mc_mean, "std_error": rep.std_error,
                    "ode_mean": rep.ode_mean, "z_score": rep.z_score}
 
@@ -191,6 +177,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
     else:  # pragma: no cover - kinds are closed by the config parser
         raise ConfigError([f"unhandled experiment kind {cfg.kind!r}"])
 
+    files = [] if csv is None else [(csv[0], _write_csv_blocks(out_dir, *csv))]
     return results, files, ok
 
 

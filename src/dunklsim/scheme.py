@@ -36,7 +36,7 @@ import numpy as np
 from .brownian import TimeGrid
 from .coefficients import ZeroDrift
 from .errors import DimensionError, GridError, ParameterError, PathSolverError
-from .model import ModelSpec, lipschitz_scale, repulsion
+from .model import ModelSpec, _dot, lipschitz_scale, repulsion
 from .roots import RootSystem
 from .stepping import (_certificate, _fixed_point_batch, _newton_batch, _orthogonal_batch,
                        _twin)
@@ -126,7 +126,7 @@ def _predictor(m: ModelSpec, cfg: SchemeConfig, grid: TimeGrid, kvg: np.ndarray,
         xhat += m.drift.apply(t_l, x) * grid.dt
     if cfg.theta > 0.0:
         a = m.rs.matrix
-        p = x @ a.T
+        p = _dot(x, a.T)
         if eps is None and p.min() <= 0.0:
             raise PathSolverError(
                 "exact scheme state left the chamber (corrupted input?)",
@@ -186,7 +186,7 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
         if iter_rec is not None:
             iter_rec[:, l] = iters
         if truncated:
-            pmin = (x @ a.T).min(axis=1)
+            pmin = _dot(x, a.T).min(axis=1)
             bad = pmin <= 0.0
             newly = bad & ~exited
             if np.any(newly):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChamberError, DimensionError, ParameterError, SolverError
-from .model import repulsion
+from .model import _dot, repulsion
 from .roots import RootSystem
 
 # Armijo slope fraction and the feasibility fraction of the distance to
@@ -110,17 +110,6 @@ def _orthogonal_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float
     if rs.n_roots < rs.dim:
         y += xhat - _dot(shat, lift)
     return y
-
-
-def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """u @ w.  Over an inner dimension of 1 each entry is a single product:
-    a broadcast takes it at a tenth of the matmul's cost at 10^4 rows, and
-    a 1x1 factor of exactly 1.0 (d = 1 with root [1.0]) returns u itself."""
-    if w.shape[0] > 1:
-        return u @ w
-    if w.shape == (1, 1) and w[0, 0] == 1.0:
-        return u
-    return u * w[0]
 
 
 def _per_root_k(rs: RootSystem, k_orbit) -> np.ndarray:

@@ -45,12 +45,28 @@ def test_batch_rows_match_single_paths():
         assert np.array_equal(batch[i], _one(3, 32, 2.0, 99, i))
 
 
+def test_batch_rows_equal_path_rng_draws_bitwise():
+    # one re-keyed generator per call reproduces each path's own stream
+    ids = [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5, 2 ** 63 + 11, 2 ** 64 - 1]
+    for seed in (0, 3, 2 ** 32 + 1, 2 ** 64 - 1):
+        batch = batch_increments(2, 24, 1.5, seed, np.array(ids, dtype=np.uint64))
+        for row, pid in zip(batch, ids):
+            want = path_rng(seed, pid).standard_normal((24, 2)) * math.sqrt(1.5 / 24)
+            assert row.tobytes() == want.tobytes()
+
+
 def test_seed_range_validated():
     for bad in (-1, 2 ** 64, 1.5):
         with pytest.raises(ParameterError):
             path_rng(bad, 0)
         with pytest.raises(ParameterError):
             path_rng(0, bad)
+        with pytest.raises(ParameterError):
+            batch_increments(1, 4, 1.0, bad, np.arange(2))
+    with pytest.raises(ParameterError):
+        batch_increments(1, 4, 1.0, 0, [0, -1])
+    with pytest.raises(ParameterError):
+        batch_increments(1, 4, 1.0, 0, [2 ** 64])
 
 
 def test_increment_variance_matches_grid():

@@ -1,12 +1,18 @@
 """Command line driver: describe, run, validate, exit codes, artifacts."""
 import copy
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dunklsim.cli as cli
+import dunklsim.mc as mc
 from dunklsim import fixed_point_certificate, run_batch
 from dunklsim.brownian import batch_increments
 from dunklsim.cli import main
@@ -200,6 +206,130 @@ def test_rerun_and_thread_budgets_byte_identical(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def _record_batches(monkeypatch, fail_call=None):
+    """Wrap cli.run_batch to record each call's path count; call number
+    `fail_call` runs with a tolerance no step can certify."""
+    calls = []
+    real = cli.run_batch
+
+    def wrapped(m, cfg, inc, **kw):
+        calls.append(inc.shape[0])
+        if len(calls) == fail_call:
+            cfg = dataclasses.replace(cfg, solver_tol=1e-300)
+        return real(m, cfg, inc, **kw)
+
+    monkeypatch.setattr(cli, "run_batch", wrapped)
+    return calls
+
+
+def _a3_simulate(tmp_path, M):
+    doc = _simulate_cfg(tmp_path)
+    doc["model"]["root_system"] = {"type": "A", "d": 3}
+    doc["model"]["xi"] = [1.0, 0.0, -1.0]
+    doc["scheme"]["theta"] = 0.25
+    doc["run"].update({"M": M, "n": 16})
+    return _write(tmp_path, doc, f"a3_M{M}.json")
+
+
+def _run_outputs(cfg, out_dir):
+    assert main(["run", "--output-dir", str(out_dir), cfg]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    return ((out_dir / "paths.csv").read_bytes(), (out_dir / "summary.json").read_bytes(),
+            manifest["outputs"])
+
+
+def test_simulate_chunks_stream_same_bytes(tmp_path, monkeypatch):
+    cfg = _a3_simulate(tmp_path, 5)
+    whole = _run_outputs(cfg, tmp_path / "one")
+    monkeypatch.setattr(mc, "_MAX_CHUNK", 2)          # chunks of 2, 2 and 1 paths
+    calls = _record_batches(monkeypatch)
+    assert _run_outputs(cfg, tmp_path / "three") == whole
+    assert calls == [2, 2, 1]
+    assert whole[2][0] == {"path": "paths.csv", "rows": 5 * 17}
+
+
+def test_simulate_larger_M_extends_paths_csv(tmp_path):
+    small = _run_outputs(_a3_simulate(tmp_path, 3), tmp_path / "m3")[0]
+    large = _run_outputs(_a3_simulate(tmp_path, 5), tmp_path / "m5")[0]
+    assert len(large) > len(small) and large.startswith(small)
+
+
+# ---------------------------------------------------------------------------
+# CSV text: the per-value formatter the block writer replaced is the oracle
+
+def _fmt(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def _oracle_csv(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _written(tmp_path, header, blocks) -> tuple[bytes, int]:
+    count = cli._write_csv_blocks(str(tmp_path), "t.csv", header, blocks)
+    assert not (tmp_path / "t.csv.tmp").exists()
+    return (tmp_path / "t.csv").read_bytes(), count
+
+
+ODD = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, 0.1, -1 / 3,
+       2.0, 1e17, 123456789012345678.0]
+
+
+def _rows_of(blocks):
+    for block in blocks:
+        n = max(np.size(c) for c in block)
+        yield from zip(*(c if np.ndim(c) else [c] * n for c in block))
+
+
+@pytest.mark.parametrize("kind", ["simulate", "convergence", "moments", "increments",
+                                  "chamber-exit", "cir-check"])
+def test_block_writer_matches_per_value_formatter(tmp_path, kind):
+    odd = np.array(ODD)
+    k = len(ODD)
+    if kind == "simulate":                              # one block per path, last one short
+        header = ("path_id", "step", "t", "x_0", "x_1", "in_chamber")
+        blocks = [(np.int64(pid), np.arange(k), np.linspace(0.0, 1.0, k), odd,
+                   np.roll(odd, pid), np.arange(k) % 3 != pid) for pid in range(3)]
+        blocks.append((np.int64(3), np.arange(2), np.array([0.0, 0.5]), odd[:2],
+                       odd[-2:], [True, False]))
+    elif kind == "convergence":
+        header = ("n", "rms_sup_error", "std_error", "M", "n_ref")
+        blocks = [(tuple(range(8, 8 + k)), tuple(ODD), tuple(reversed(ODD)), 128, np.int64(64))]
+    elif kind == "moments":
+        header = ("root_index", "t", "p", "estimate", "std_error")
+        blocks = [(ri, np.linspace(0.0, 1.0, k), p, np.roll(odd, ri), odd * 2.0)
+                  for ri, p in enumerate((2, 2.5, -0.0))]
+    elif kind == "increments":
+        header = ("lag", "mean_square_increment", "std_error")
+        blocks = [((0.125, 0.25, 1.0, 3.0), tuple(ODD[:4]), tuple(ODD[-4:]))]
+    elif kind == "chamber-exit":
+        header = ("n", "exit_fraction", "ci_low", "ci_high")
+        blocks = [((32, 64), (0.0, 0.5), (0, 0.25), (np.float64(5e-324), 1.0))]
+    else:
+        header = ("mc_mean", "std_error", "ode_mean", "z_score", "n", "M")
+        blocks = [(1.5, 0.0, -0.0, math.inf, np.int64(64), 4000)]
+    text, count = _written(tmp_path, header, blocks)
+    rows = list(_rows_of(blocks))
+    assert count == len(rows)
+    assert text == _oracle_csv(header, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2 ** 63, 2 ** 63 - 1), st.floats(), st.booleans()),
+                min_size=1, max_size=20))
+def test_block_writer_matches_formatter_on_any_values(tmp_path_factory, rows):
+    ints, floats, flags = (list(c) for c in zip(*rows))
+    blocks = [(ints, np.array(floats), [np.bool_(f) for f in flags])]
+    text, count = _written(tmp_path_factory.mktemp("w"), ("i", "x", "b"), blocks)
+    assert count == len(rows)
+    assert text == _oracle_csv(("i", "x", "b"), rows)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -255,15 +385,30 @@ def test_validate_rejects_nonpositive_flags(tmp_path, capsys, flag):
     assert flag[0] in capsys.readouterr().err
 
 
-def test_solver_failure_exits_3(tmp_path, capsys):
+def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     doc = _simulate_cfg(tmp_path)
     doc["model"]["root_system"] = {"type": "A", "d": 3}
     doc["model"]["xi"] = [1.0, 0.0, -1.0]
+    doc["run"].update({"M": 5, "n": 2})
+    out_dir = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    before = {f: (out_dir / f).read_bytes() for f in ("paths.csv", "summary.json")}
+
     doc["scheme"]["solver_tol"] = 1e-300               # never certified
-    doc["run"].update({"M": 2, "n": 2})
     rc = main(["run", _write(tmp_path, doc)])
     assert rc == 3
     assert "solver failure" in capsys.readouterr().err
+
+    # a failure in the third chunk, after two chunks' rows were streamed
+    doc["scheme"].pop("solver_tol")
+    monkeypatch.setattr(mc, "_MAX_CHUNK", 2)
+    calls = _record_batches(monkeypatch, fail_call=3)
+    rc = main(["run", _write(tmp_path, doc)])
+    assert rc == 3
+    assert "solver failure" in capsys.readouterr().err
+    assert calls == [2, 2, 1]
+    assert not (out_dir / "paths.csv.tmp").exists()
+    assert {f: (out_dir / f).read_bytes() for f in before} == before
 
 
 def test_run_validate_kind_fails_redly(tmp_path):

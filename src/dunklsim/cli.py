@@ -34,7 +34,7 @@ from .config import _KINDS, ExperimentConfig, _cir_constants, load_config
 from .errors import ConfigError, DunklSimError, FitError, SolverError
 from .mc import (RATE_THRESHOLD, _chunk_size, chamber_exit, cir_mean_check, fit_order,
                  increment_scaling, negative_moments, strong_error)
-from .model import lipschitz_scale, moment_threshold, validate_assumptions
+from .model import _noise_lattice, lipschitz_scale, moment_threshold, validate_assumptions
 from .roots import validate_axioms
 from .scheme import _closed_form_ok, fixed_point_cap, run_batch, truncation_level
 
@@ -117,7 +117,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
                 ids = np.arange(start, min(start + chunk, cfg.M))
                 res = run_batch(m, sch, batch_increments(m.brownian_dim, cfg.n, m.T,
                                                          seed, ids), record_flags=True)
-                results["exited_paths"] += int(res.exited.sum())
+                results["exited_paths"] += int(np.count_nonzero(res.first_violation >= 0))
                 for pid, x, flags in zip(ids, res.states, res.in_chamber):
                     yield (pid, steps, times, *x.T, flags)
 
@@ -263,7 +263,7 @@ def cmd_describe(args) -> int:
     s = cfg.scheme
     L = lipschitz_scale(m)
     p_star = moment_threshold(m)
-    sigma_sup = m.sigma.bar_sup(m.T)
+    sigma_sup = float(np.max(_noise_lattice(m)[1]))
 
     print(f"root system        : dimension {m.dim}, {m.rs.n_roots} positive "
           f"roots in {m.rs.n_orbits} orbit(s)")

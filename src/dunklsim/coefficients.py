@@ -5,10 +5,19 @@ Lipschitz constants and sup bounds where the form allows it, instead of
 estimating them by sampling.  Spatially dependent forms must declare the
 bounds that cannot be computed from the data.
 
-The scalar diffusion size used in moment thresholds is
+Three diffusion forms:
+
+* `DiagonalSigma`, diag(fn_1(t), ..., fn_d(t)): one time function per
+  coordinate, or a single one broadcast to all d (sigma = fn(t) * I);
+* `MatrixSigma`, a constant d x r matrix;
+* `LinearSigma`, base + sum_l x_l C_l with a declared sup bound, the only
+  state-dependent form.
+
+The scalar diffusion size `bar(t)` used in moment thresholds is
 
 * the largest diagonal entry magnitude when the matrix is square diagonal,
-* the Frobenius norm otherwise.
+* the Frobenius norm otherwise,
+* the declared bound for `LinearSigma`.
 """
 from __future__ import annotations
 
@@ -21,40 +30,9 @@ from .timefn import TimeFn, as_timefn
 
 
 @dataclass(frozen=True)
-class ScalarSigma:
-    """sigma(t, x) = fn(t) * identity (square, diagonal)."""
-
-    fn: TimeFn
-
-    def __post_init__(self):
-        object.__setattr__(self, "fn", as_timefn(self.fn))
-
-    def brownian_dim(self, d: int) -> int:
-        return d
-
-    def apply(self, t: float, x: np.ndarray, db: np.ndarray) -> np.ndarray:
-        return float(self.fn(t)) * db
-
-    def bar(self, t: float) -> float:
-        return abs(float(self.fn(t)))
-
-    def bar_sup(self, T: float) -> float:
-        return max(abs(self.fn.sup_on(T)), abs(self.fn.inf_on(T)))
-
-    @property
-    def bar_declared(self) -> bool:
-        return False
-
-    def lipschitz(self, T: float) -> float:
-        return 0.0
-
-    def breakpoints(self, T):
-        return self.fn.breakpoints(T)
-
-
-@dataclass(frozen=True)
 class DiagonalSigma:
-    """sigma(t, x) = diag(fn_1(t), ..., fn_d(t))."""
+    """sigma(t, x) = diag(fn_1(t), ..., fn_d(t)); a single function is
+    broadcast to all d coordinates, sigma = fn(t) * identity."""
 
     fns: tuple[TimeFn, ...]
 
@@ -62,20 +40,16 @@ class DiagonalSigma:
         object.__setattr__(self, "fns", tuple(as_timefn(f) for f in self.fns))
 
     def brownian_dim(self, d: int) -> int:
-        if d != len(self.fns):
+        if len(self.fns) not in (1, d):
             raise DimensionError(
                 f"diagonal diffusion has {len(self.fns)} entries for dimension {d}")
         return d
 
     def apply(self, t, x, db):
-        diag = np.array([float(f(t)) for f in self.fns])
-        return db * diag
+        return db * np.array([float(f(t)) for f in self.fns])
 
     def bar(self, t: float) -> float:
         return max(abs(float(f(t))) for f in self.fns)
-
-    def bar_sup(self, T: float) -> float:
-        return max(max(abs(f.sup_on(T)), abs(f.inf_on(T))) for f in self.fns)
 
     @property
     def bar_declared(self) -> bool:
@@ -122,9 +96,6 @@ class MatrixSigma:
         if self._is_square_diagonal():
             return float(np.abs(np.diag(m)).max())
         return float(np.sqrt(np.sum(m * m)))
-
-    def bar_sup(self, T: float) -> float:
-        return self.bar(0.0)
 
     @property
     def bar_declared(self) -> bool:
@@ -179,9 +150,6 @@ class LinearSigma:
     def bar(self, t: float) -> float:
         return float(self.sup_bound)
 
-    def bar_sup(self, T: float) -> float:
-        return float(self.sup_bound)
-
     @property
     def bar_declared(self) -> bool:
         return True
@@ -194,7 +162,7 @@ class LinearSigma:
         return ()
 
 
-SigmaSpec = ScalarSigma | DiagonalSigma | MatrixSigma | LinearSigma
+SigmaSpec = DiagonalSigma | MatrixSigma | LinearSigma
 
 
 @dataclass(frozen=True)
@@ -207,9 +175,6 @@ class ZeroDrift:
 
     def at_origin_sup(self, T: float) -> float:
         return 0.0
-
-    def breakpoints(self, T):
-        return ()
 
 
 @dataclass(frozen=True)
@@ -230,9 +195,6 @@ class LinearDrift:
 
     def at_origin_sup(self, T: float) -> float:
         return 0.0
-
-    def breakpoints(self, T):
-        return self.fn.breakpoints(T)
 
 
 @dataclass(frozen=True)
@@ -259,9 +221,6 @@ class ConstantDrift:
 
     def at_origin_sup(self, T: float) -> float:
         return float(np.linalg.norm(self.array))
-
-    def breakpoints(self, T):
-        return ()
 
 
 DriftSpec = ZeroDrift | LinearDrift | ConstantDrift

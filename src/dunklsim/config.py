@@ -27,8 +27,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .coefficients import (ConstantDrift, DiagonalSigma, LinearDrift, MatrixSigma,
-                           ScalarSigma, ZeroDrift)
+from .coefficients import ConstantDrift, DiagonalSigma, LinearDrift, MatrixSigma, ZeroDrift
 from .errors import ConfigError, DunklSimError
 from .model import ModelSpec
 from .roots import RootSystem, direct_sum, make_type_a, make_type_b
@@ -205,7 +204,7 @@ _ROOT_SYSTEM = _tagged("type", {
 })
 
 _SIGMA = _tagged("form", {
-    "scalar_identity": ({"fn": _TIMEFN}, ScalarSigma),
+    "scalar_identity": ({"fn": _TIMEFN}, lambda fn: DiagonalSigma((fn,))),
     "diagonal": ({"fns": _list(_TIMEFN, 1)}, DiagonalSigma),
     "matrix": ({"values": _list(_list(_number()))}, MatrixSigma),
 })
@@ -334,10 +333,12 @@ def _cir_constants(model: ModelSpec) -> tuple[float, float, float, float, float]
     kfn = model.k[0]
     if not getattr(kfn, "is_constant", False):
         return None
-    if isinstance(model.sigma, ScalarSigma) and getattr(model.sigma.fn, "is_constant", False):
-        sigma0 = float(model.sigma.fn(0.0))
-    elif isinstance(model.sigma, MatrixSigma) and model.sigma.array.shape == (1, 1):
-        sigma0 = float(model.sigma.array[0, 0])
+    sigma = model.sigma
+    if (isinstance(sigma, DiagonalSigma) and len(sigma.fns) == 1
+            and getattr(sigma.fns[0], "is_constant", False)):
+        sigma0 = float(sigma.fns[0](0.0))
+    elif isinstance(sigma, MatrixSigma) and sigma.array.shape == (1, 1):
+        sigma0 = float(sigma.array[0, 0])
     else:
         return None
     if isinstance(model.drift, ZeroDrift):

@@ -132,14 +132,16 @@ def strong_error(m: ModelSpec, theta: float, n_list, n_ref: int, M: int,
 
     _map_paths(m, n_ref, M, master_seed, threads, work)
 
-    rms, ses = [], []
-    for j in range(len(ns)):
-        mean, se = path_mean_se(sup2[:, j])
-        e = math.sqrt(max(float(mean), 0.0))
-        rms.append(e)
-        ses.append(float(se) / (2.0 * e) if e > 0.0 else 0.0)
-    return ErrorCurve(n_values=ns, rms_errors=tuple(rms), std_errors=tuple(ses),
+    rms, ses = zip(*map(_rms, *path_mean_se(sup2)))
+    return ErrorCurve(n_values=ns, rms_errors=rms, std_errors=ses,
                       M=M, n_ref=n_ref, variant=variant)
+
+
+def _rms(mean, se) -> tuple[float, float]:
+    """e = sqrt(mean) of a mean square (clipped at 0) and its delta-method
+    standard error se / (2 e)."""
+    e = math.sqrt(max(float(mean), 0.0))
+    return e, (float(se) / (2.0 * e) if e > 0.0 else 0.0)
 
 
 def scheme_gap(m: ModelSpec, theta: float, n: int, M: int, master_seed: int,
@@ -163,9 +165,7 @@ def scheme_gap(m: ModelSpec, theta: float, n: int, M: int, master_seed: int,
         sup2[start:stop] = np.sum(diff * diff, axis=2).max(axis=1)
 
     _map_paths(m, n, M, master_seed, threads, work)
-    mean, se = path_mean_se(sup2)
-    g = math.sqrt(max(float(mean), 0.0))
-    return g, (float(se) / (2.0 * g) if g > 0.0 else 0.0)
+    return _rms(*path_mean_se(sup2))
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> FitResult:
@@ -308,14 +308,10 @@ def increment_scaling(m: ModelSpec, theta: float, n: int, M: int, lag_list,
 
     _map_paths(m, n, M, master_seed, threads, work)
 
-    est, se = [], []
-    for j in range(len(steps)):
-        mean, s_ = path_mean_se(per_path[:, j])
-        est.append(float(mean))
-        se.append(float(s_))
+    est, se = (tuple(map(float, v)) for v in path_mean_se(per_path))
     pos = [(lag, e) for lag, e in zip(lag_list, est) if lag > 0.0 and e > 0.0]
     return IncrementReport(lags=tuple(float(l) for l in lag_list),
-                           estimates=tuple(est), std_errors=tuple(se),
+                           estimates=est, std_errors=se,
                            slope=_slope_or_none(pos), M=M, n=n)
 
 
@@ -369,7 +365,7 @@ def chamber_exit(m: ModelSpec, theta: float, c: float, n_list, M: int,
         cfg = SchemeConfig("truncated", theta, n, c, solver_tol)
 
         def work(start, stop, inc):
-            exited[start:stop] = run_batch(m, cfg, inc).exited
+            exited[start:stop] = run_batch(m, cfg, inc).first_violation >= 0
 
         _map_paths(m, n, M, master_seed, threads, work)
         counts.append(int(exited.sum()))
@@ -420,7 +416,7 @@ def cir_mean_check(k0: float, sigma0: float, lam0: float, xi: float, T: float,
     finals = np.zeros(M)
 
     def work(start, stop, inc):
-        finals[start:stop] = run_batch(m, cfg, inc, store_stride=n).final[:, 0]
+        finals[start:stop] = run_batch(m, cfg, inc, store_stride=n).states[:, -1, 0]
 
     _map_paths(m, n, M, master_seed, threads, work)
     mean, se = path_mean_se(finals ** 2)

@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficients import (DriftSpec, LinearDrift, MatrixSigma, ScalarSigma,
-                           SigmaSpec, ZeroDrift)
+from .coefficients import (ConstantDrift, DiagonalSigma, DriftSpec, LinearDrift, SigmaSpec,
+                           ZeroDrift)
 from .errors import ChamberError, DimensionError, ParameterError
 from .roots import RootSystem, make_type_a, make_type_b, min_pairing, pairing_identity_residual
 from .timefn import ConstantFn, SqrtAffineFn, TableFn, TimeFn, as_timefn, time_lattice
@@ -82,6 +82,9 @@ class ModelSpec:
                 raise ParameterError("repulsion strength must be strictly positive on [0, T]")
         object.__setattr__(self, "k", k)
         self.sigma.brownian_dim(self.rs.dim)  # raises on shape mismatch
+        if isinstance(self.drift, ConstantDrift) and len(self.drift.values) != self.rs.dim:
+            raise DimensionError(f"constant drift has {len(self.drift.values)} entries "
+                                 f"for dimension {self.rs.dim}")
 
     @property
     def dim(self) -> int:
@@ -138,13 +141,9 @@ def moment_threshold(m: ModelSpec) -> float:
     ts, bar = _noise_lattice(m)
     if np.all(bar == 0.0):
         return math.inf
-    denom = float(np.max(bar)) ** 2 if m.sigma.bar_declared else None
-    kv = m.k_at(ts).T
-    if denom is not None:
-        ratios = 2.0 * kv / denom
-    else:
-        with np.errstate(divide="ignore"):
-            ratios = np.where(bar > 0.0, 2.0 * kv / np.maximum(bar, 1e-300) ** 2, math.inf)
+    with np.errstate(divide="ignore"):
+        ratios = np.where(bar > 0.0, 2.0 * m.k_at(ts).T / np.maximum(bar, 1e-300) ** 2,
+                          math.inf)
     return float(np.min(ratios)) - 1.0
 
 
@@ -269,8 +268,7 @@ def bessel_model(k, sigma0=1.0, lam=0.0, xi: float = 1.0, T: float = 1.0) -> Mod
     if not xi > 0.0:
         raise ChamberError(f"start point must be positive, got {xi}")
     rs = RootSystem(dim=1, positive_roots=(tuple([1.0]),), orbits=((0,),))
-    sigma = sigma0 if isinstance(sigma0, (ScalarSigma, MatrixSigma)) else ScalarSigma(as_timefn(sigma0))
-    return ModelSpec(rs=rs, T=T, xi=(xi,), sigma=sigma, drift=_rate_drift(lam),
+    return ModelSpec(rs=rs, T=T, xi=(xi,), sigma=_scalar_sigma(sigma0), drift=_rate_drift(lam),
                      k=(as_timefn(k),))
 
 
@@ -306,7 +304,8 @@ def _rate_drift(lam) -> DriftSpec:
 
 
 def _scalar_sigma(sigma) -> SigmaSpec:
-    """Numbers and time functions become ScalarSigma; descriptors pass through."""
+    """Numbers and time functions become fn(t) * identity; descriptors pass
+    through."""
     if isinstance(sigma, (int, float, ConstantFn, SqrtAffineFn, TableFn)):
-        return ScalarSigma(as_timefn(sigma))
+        return DiagonalSigma((as_timefn(sigma),))
     return sigma

@@ -71,15 +71,15 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class BatchPaths:
-    """States and diagnostics of a batch run (internal to the engine)."""
+    """States and diagnostics of a batch run (internal to the engine).
+
+    `states[:, -1]` holds X(T); `first_violation` is a path's first step
+    outside the chamber (truncated variant), -1 when it never left."""
 
     states: np.ndarray
-    store_stride: int
-    exited: np.ndarray
     first_violation: np.ndarray
     in_chamber: np.ndarray | None
     iterations: np.ndarray | None
-    final: np.ndarray
 
 
 def truncation_level(m: ModelSpec, cfg: SchemeConfig) -> float:
@@ -162,7 +162,6 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     states = np.empty((rows, cfg.n // store_stride + 1, rs.dim))
     x = np.tile(m.xi_array, (rows, 1))
     states[:, 0] = x
-    exited = np.zeros(rows, dtype=bool)
     first_violation = np.full(rows, -1, dtype=np.int64)
     flags = np.ones((rows, cfg.n + 1), dtype=bool) if record_flags else None
     iter_rec = np.zeros((rows, cfg.n), dtype=np.int32) if record_iterations else None
@@ -186,23 +185,17 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
         if iter_rec is not None:
             iter_rec[:, l] = iters
         if truncated:
-            pmin = _dot(x, a.T).min(axis=1)
-            bad = pmin <= 0.0
-            newly = bad & ~exited
-            if np.any(newly):
-                first_violation[newly] = l + 1
-                exited |= newly
+            bad = _dot(x, a.T).min(axis=1) <= 0.0
+            first_violation[bad & (first_violation < 0)] = l + 1
             if flags is not None:
                 flags[:, l + 1] = ~bad
 
         if (l + 1) % store_stride == 0:
             states[:, (l + 1) // store_stride] = x
 
-    return BatchPaths(states=states[:npaths], store_stride=store_stride,
-                      exited=exited[:npaths], first_violation=first_violation[:npaths],
+    return BatchPaths(states=states[:npaths], first_violation=first_violation[:npaths],
                       in_chamber=None if flags is None else flags[:npaths],
-                      iterations=None if iter_rec is None else iter_rec[:npaths],
-                      final=x[:npaths])
+                      iterations=None if iter_rec is None else iter_rec[:npaths])
 
 
 def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,

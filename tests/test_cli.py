@@ -344,6 +344,15 @@ def test_bad_config_exits_2_listing_every_problem(tmp_path, capsys):
     assert "$.model.T" in err and "$.scheme" in err and "master_seed" in err
 
 
+def test_constant_drift_of_wrong_length_exits_2(tmp_path, capsys):
+    doc = _simulate_cfg(tmp_path)
+    doc["model"]["drift"] = {"form": "constant", "values": [1.0, 0.0, 0.0]}
+    rc = main(["run", _write(tmp_path, doc)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("config error - $.model: ")
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.json")])
     assert rc == 1

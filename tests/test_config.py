@@ -80,6 +80,15 @@ def test_sigma_and_drift_forms():
     assert cfg.model.drift.fn(0.0) == -0.5
 
 
+def test_one_entry_diagonal_is_scalar_identity():
+    for d, xi in ((2, [0.5, -0.5]), (3, [1.0, 0.0, -1.0])):
+        models = [parse_config(_cfg(model__root_system={"type": "A", "d": d}, model__xi=xi,
+                                    model__sigma=sigma)).model
+                  for sigma in ({"form": "scalar_identity", "fn": 1.5},
+                                {"form": "diagonal", "fns": [1.5]})]
+        assert models[0] == models[1]
+
+
 def test_custom_root_system():
     cfg = parse_config(_cfg(
         model__root_system={"type": "custom", "dim": 1,

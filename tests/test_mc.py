@@ -179,7 +179,7 @@ def test_scheme_gaps_obey_triangle_inequality():
 
     def finals(variant, nn, drive):
         cfg = SchemeConfig(variant=variant, theta=0.0, n=nn)
-        return run_batch(m, cfg, drive).final
+        return run_batch(m, cfg, drive).states[:, -1]
 
     def rms(a, b):
         return float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1))))

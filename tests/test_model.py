@@ -22,9 +22,9 @@ from dunklsim import (
     type_b_model,
 )
 from dunklsim.coefficients import (ConstantDrift, DiagonalSigma, LinearSigma,
-                                   MatrixSigma, ScalarSigma, ZeroDrift)
-from dunklsim.model import (ModelSpec, lipschitz_scale, moment_threshold, repulsion,
-                            validate_assumptions)
+                                   MatrixSigma, ZeroDrift)
+from dunklsim.model import (ModelSpec, _noise_lattice, lipschitz_scale, moment_threshold,
+                            repulsion, validate_assumptions)
 from dunklsim.roots import min_pairing
 
 D1 = RootSystem(dim=1, positive_roots=((1.0,),), orbits=((0,),))
@@ -161,13 +161,13 @@ def test_exact_drift_gap_bound_sampled():
 def test_lipschitz_scale_oracles():
     # A(3): 3 roots of squared norm 2, k=1 -> 6
     m = ModelSpec(rs=make_type_a(3), T=1.0, xi=(1.0, 0.0, -1.0),
-                  sigma=ScalarSigma(1.0), drift=ZeroDrift(), k=(1.0,))
+                  sigma=DiagonalSigma((1.0,)), drift=ZeroDrift(), k=(1.0,))
     assert lipschitz_scale(m) == pytest.approx(6.0)
     # B(2) with k=(1,2): 2*2*1 + 2*1*2 = 8
     mb = type_b_model(2, k_long=1.0, k_short=2.0)
     assert lipschitz_scale(mb) == pytest.approx(8.0)
     # time-dependent k: sup on [0,T] enters
-    mt = ModelSpec(rs=D1, T=4.0, xi=(1.0,), sigma=ScalarSigma(1.0),
+    mt = ModelSpec(rs=D1, T=4.0, xi=(1.0,), sigma=DiagonalSigma((1.0,)),
                    drift=ZeroDrift(), k=(SqrtAffineFn(1.0, 1.0),))
     assert lipschitz_scale(mt) == pytest.approx(3.0)
 
@@ -197,7 +197,7 @@ _strength = st.one_of(
 @given(_strength, _strength, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
 @settings(max_examples=200, deadline=None)
 def test_k_at_grid_rows_equal_scalar_calls_bitwise(k_long, k_short, times):
-    m = ModelSpec(rs=make_type_b(2), T=1.0, xi=(2.0, 1.0), sigma=ScalarSigma(1.0),
+    m = ModelSpec(rs=make_type_b(2), T=1.0, xi=(2.0, 1.0), sigma=DiagonalSigma((1.0,)),
                   drift=ZeroDrift(), k=(k_long, k_short))
     grid = m.k_at(np.array(times))
     assert grid.shape == (len(times), m.rs.n_roots)
@@ -211,7 +211,7 @@ def test_moment_threshold_oracles():
     assert moment_threshold(dyson_model(2, k=4.0)) == pytest.approx(7.0)
     assert moment_threshold(dyson_model(2, k=5.0)) == pytest.approx(9.0)
     assert moment_threshold(type_b_model(2, k_long=5.0, k_short=5.0)) == pytest.approx(9.0)
-    m0 = ModelSpec(rs=D1, T=1.0, xi=(1.0,), sigma=ScalarSigma(0.0),
+    m0 = ModelSpec(rs=D1, T=1.0, xi=(1.0,), sigma=DiagonalSigma((0.0,)),
                    drift=ZeroDrift(), k=(1.0,))
     assert moment_threshold(m0) == math.inf
 
@@ -222,6 +222,44 @@ def test_moment_threshold_scaling_invariance(k, sigma, c):
     base = bessel_model(k=k, sigma0=sigma)
     scaled = bessel_model(k=c * k, sigma0=math.sqrt(c) * sigma)
     assert moment_threshold(scaled) == pytest.approx(moment_threshold(base), rel=1e-12)
+
+
+def _bar_sup(sigma, T):
+    """sup over [0, T] of the diffusion size, from the time functions'
+    exact extrema (the oracle for the lattice maximum `describe` prints)."""
+    if isinstance(sigma, DiagonalSigma):
+        return max(max(abs(f.sup_on(T)), abs(f.inf_on(T))) for f in sigma.fns)
+    return sigma.bar(0.0)  # MatrixSigma is constant in t
+
+
+_signed = st.floats(-5.0, 5.0)
+_noise_fn = st.one_of(
+    _signed.map(ConstantFn),
+    st.builds(SqrtAffineFn, _signed, _signed),
+    st.lists(st.tuples(st.floats(-1.0, 3.0), _signed), min_size=2, max_size=6,
+             unique_by=lambda node: node[0]).map(lambda nodes: TableFn(*zip(*sorted(nodes)))),
+)
+
+
+@st.composite
+def _noise_models(draw):
+    rs, xi = draw(st.sampled_from([(D1, (1.0,)), (make_type_a(2), (1.0, -1.0)),
+                                   (make_type_a(3), (1.0, 0.0, -1.0))]))
+    d = rs.dim
+    sigma = draw(st.one_of(
+        _noise_fn.map(lambda f: DiagonalSigma((f,))),
+        st.lists(_noise_fn, min_size=d, max_size=d).map(lambda fs: DiagonalSigma(tuple(fs))),
+        st.integers(1, 3).flatmap(lambda r: st.lists(
+            st.lists(_signed, min_size=r, max_size=r), min_size=d, max_size=d)).map(
+            lambda rows: MatrixSigma(tuple(map(tuple, rows))))))
+    return ModelSpec(rs=rs, T=draw(st.floats(0.1, 2.0)), xi=xi, sigma=sigma,
+                     drift=ZeroDrift(), k=(1.0,))
+
+
+@given(_noise_models())
+@settings(max_examples=300, deadline=None)
+def test_lattice_max_is_exact_diffusion_sup(m):
+    assert float(np.max(_noise_lattice(m)[1])) == _bar_sup(m.sigma, m.T)
 
 
 def test_moment_threshold_uses_declared_bound():
@@ -249,21 +287,21 @@ def test_model_rejects_start_outside_chamber():
 
 def test_model_rejects_bad_horizon():
     with pytest.raises(ParameterError):
-        ModelSpec(rs=D1, T=0.0, xi=(1.0,), sigma=ScalarSigma(1.0),
+        ModelSpec(rs=D1, T=0.0, xi=(1.0,), sigma=DiagonalSigma((1.0,)),
                   drift=ZeroDrift(), k=(1.0,))
 
 
 def test_model_rejects_wrong_k_count():
     with pytest.raises(DimensionError):
         ModelSpec(rs=make_type_b(2), T=1.0, xi=(2.0, 1.0),
-                  sigma=ScalarSigma(1.0), drift=ZeroDrift(), k=(1.0,))
+                  sigma=DiagonalSigma((1.0,)), drift=ZeroDrift(), k=(1.0,))
 
 
 def test_model_rejects_nonpositive_k():
     with pytest.raises(ParameterError):
         bessel_model(k=0.0)
     with pytest.raises(ParameterError):
-        ModelSpec(rs=D1, T=4.0, xi=(1.0,), sigma=ScalarSigma(1.0),
+        ModelSpec(rs=D1, T=4.0, xi=(1.0,), sigma=DiagonalSigma((1.0,)),
                   drift=ZeroDrift(), k=(SqrtAffineFn(1.0, -1.0),))  # hits 0 at t=1
 
 
@@ -271,6 +309,13 @@ def test_model_rejects_sigma_shape_mismatch():
     with pytest.raises(DimensionError):
         ModelSpec(rs=make_type_a(2), T=1.0, xi=(1.0, -1.0),
                   sigma=DiagonalSigma((1.0, 1.0, 1.0)), drift=ZeroDrift(), k=(1.0,))
+
+
+def test_model_rejects_drift_shape_mismatch():
+    for values in ((1.0, 0.0, 0.0), ()):
+        with pytest.raises(DimensionError):
+            ModelSpec(rs=make_type_a(2), T=1.0, xi=(1.0, -1.0), sigma=DiagonalSigma((1.0,)),
+                      drift=ConstantDrift(values), k=(1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +335,11 @@ def test_assumptions_fail_when_noise_dominates():
 
 def test_assumptions_constant_drift_alignment():
     good = ModelSpec(rs=make_type_a(2), T=1.0, xi=(1.0, -1.0),
-                     sigma=ScalarSigma(1.0), drift=ConstantDrift((1.0, -1.0)),
+                     sigma=DiagonalSigma((1.0,)), drift=ConstantDrift((1.0, -1.0)),
                      k=(4.0,))
     assert validate_assumptions(good).drift_alignment.ok
     bad = ModelSpec(rs=make_type_a(2), T=1.0, xi=(1.0, -1.0),
-                    sigma=ScalarSigma(1.0), drift=ConstantDrift((-1.0, 1.0)),
+                    sigma=DiagonalSigma((1.0,)), drift=ConstantDrift((-1.0, 1.0)),
                     k=(4.0,))
     rep = validate_assumptions(bad)
     assert not rep.drift_alignment.ok

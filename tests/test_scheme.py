@@ -12,6 +12,7 @@ from dunklsim import (
     PathSolverError,
     RootSystem,
     SchemeConfig,
+    SqrtAffineFn,
     audit_batch,
     bessel_model,
     closed_form_step_1d,
@@ -26,7 +27,7 @@ from dunklsim import (
     type_b_model,
 )
 from dunklsim.brownian import batch_increments
-from dunklsim.coefficients import ScalarSigma, ZeroDrift
+from dunklsim.coefficients import DiagonalSigma, ZeroDrift
 from dunklsim.model import ModelSpec
 from dunklsim.scheme import _closed_form_ok, truncation_level
 from dunklsim.stepping import _newton_batch
@@ -44,8 +45,8 @@ def _paths(m, n, seed, count=8):
 def _sum_model(parts, k, xi):
     """Unit-noise, driftless model on the direct sum of `parts`, with one
     constant strength per orbit."""
-    return ModelSpec(rs=functools.reduce(direct_sum, parts), T=1.0, xi=tuple(xi), sigma=ScalarSigma(1.0),
-                     drift=ZeroDrift(), k=tuple(k))
+    return ModelSpec(rs=functools.reduce(direct_sum, parts), T=1.0, xi=tuple(xi),
+                     sigma=DiagonalSigma((1.0,)), drift=ZeroDrift(), k=tuple(k))
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +98,15 @@ def test_single_step_matches_closed_form():
     m = bessel_model(k=1.0, sigma0=0.0, T=0.01)
     out = run_batch(m, SchemeConfig(variant="exact", theta=0.0, n=1),
                     _paths(m, 1, 0, 2))
-    assert out.final[:, 0] == pytest.approx(closed_form_step_1d(1.0, 0.01, 1.0),
-                                            abs=1e-15)
+    assert out.states[:, -1, 0] == pytest.approx(closed_form_step_1d(1.0, 0.01, 1.0),
+                                                 abs=1e-15)
 
 
 def test_zero_noise_limit_value():
     m = bessel_model(k=1.0, sigma0=0.0)
     out = run_batch(m, SchemeConfig(variant="exact", theta=0.0, n=1024),
                     _paths(m, 1024, 0, 1))
-    assert abs(out.final[0, 0] - math.sqrt(3.0)) <= 1e-3
+    assert abs(out.states[0, -1, 0] - math.sqrt(3.0)) <= 1e-3
 
 
 def test_zero_noise_path_increasing():
@@ -132,7 +133,6 @@ def test_exact_variant_stays_in_chamber():
     out = run_batch(m, SchemeConfig(variant="exact", theta=0.25, n=128),
                     _paths(m, 128, 1), record_flags=True)
     assert out.in_chamber.all()
-    assert not out.exited.any()
     assert np.all(out.first_violation == -1)
     p = m.rs.pairings(out.states.reshape(-1, 2))
     assert p.min() > 0
@@ -163,7 +163,24 @@ def test_store_stride_subsamples():
     strided = run_batch(m, cfg, inc, store_stride=4)
     assert strided.states.shape == (8, 5, 2)
     assert np.array_equal(strided.states, full.states[:, ::4, :])
-    assert np.array_equal(strided.final, full.final)
+
+
+@pytest.mark.parametrize("rs, variant, xi", [(make_type_a(3), "exact", (1.0, 0.0, -1.0)),
+                                              (make_type_b(2), "truncated", (0.6, 0.3))])
+def test_one_function_diagonal_broadcasts_bitwise(rs, variant, xi):
+    # sigma = (1 - 0.5 sqrt(t)) I as one function broadcast to all d
+    # coordinates and as d copies of it
+    f = SqrtAffineFn(1.0, -0.5)
+    inc = batch_increments(rs.dim, 32, 1.0, 7, np.arange(16, dtype=np.uint64))
+    one, per_coord = (
+        run_batch(ModelSpec(rs=rs, T=1.0, xi=xi, sigma=sigma, drift=ZeroDrift(),
+                            k=(2.0,) * rs.n_orbits),
+                  SchemeConfig(variant=variant, theta=0.25, n=32), inc, record_flags=True)
+        for sigma in (DiagonalSigma((f,)), DiagonalSigma((f,) * rs.dim)))
+    assert one.states.tobytes() == per_coord.states.tobytes()
+    assert np.array_equal(one.in_chamber, per_coord.in_chamber)
+    db = inc[:, 0]
+    assert DiagonalSigma((f,)).apply(0.3, None, db).tobytes() == (f(0.3) * db).tobytes()
 
 
 def test_audit_residuals_within_tolerance():
@@ -195,7 +212,7 @@ def test_truncated_matches_exact_deep_in_chamber():
     inc = _paths(m, 64, 5)
     oe = run_batch(m, SchemeConfig(variant="exact", theta=0.25, n=64), inc)
     ot = run_batch(m, SchemeConfig(variant="truncated", theta=0.25, n=64), inc)
-    assert np.max(np.abs(oe.final - ot.final)) <= 1e-9
+    assert np.max(np.abs(oe.states[:, -1] - ot.states[:, -1])) <= 1e-9
 
 
 def test_truncated_records_violations_without_raising():
@@ -203,14 +220,15 @@ def test_truncated_records_violations_without_raising():
     cfg = SchemeConfig(variant="truncated", theta=0.0, n=32)
     out = run_batch(m, cfg, batch_increments(2, 32, m.T, 123, np.arange(16, dtype=np.uint64)),
                     record_flags=True)
-    assert out.exited.any()
-    hit = np.flatnonzero(out.exited)[0]
+    exited = out.first_violation >= 0
+    assert exited.any()
+    hit = np.flatnonzero(exited)[0]
     first = out.first_violation[hit]
     assert first >= 1
     assert not out.in_chamber[hit, first]
     assert out.in_chamber[hit, :first].all()
     # clean paths carry the no-violation sentinel
-    clean = np.flatnonzero(~out.exited)
+    clean = np.flatnonzero(~exited)
     assert np.all(out.first_violation[clean] == -1)
 
 

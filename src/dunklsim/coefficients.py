@@ -124,8 +124,9 @@ class LinearSigma:
     def __post_init__(self):
         b = np.asarray(self.base, dtype=float)
         c = np.asarray(self.coeffs, dtype=float)
-        if b.ndim != 2 or c.ndim != 3 or c.shape[0] != b.shape[0] or c.shape[1:] != b.shape:
-            raise ParameterError("linear diffusion needs base (d,r) and coeffs (d,d,r)")
+        if (b.ndim != 2 or c.ndim != 3 or c.shape[0] != b.shape[0] or c.shape[1:] != b.shape
+                or not (np.all(np.isfinite(b)) and np.all(np.isfinite(c)))):
+            raise ParameterError("linear diffusion needs finite base (d,r) and coeffs (d,d,r)")
         if not (self.sup_bound > 0.0 and np.isfinite(self.sup_bound)):
             raise ParameterError("linear diffusion needs a positive declared sup bound")
 

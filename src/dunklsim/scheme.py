@@ -135,15 +135,21 @@ def _predictor(m: ModelSpec, cfg: SchemeConfig, grid: TimeGrid, kvg: np.ndarray,
     return xhat
 
 
+def _checked_increments(m: ModelSpec, cfg: SchemeConfig, increments) -> np.ndarray:
+    """`increments` as an array, which must be (paths, n, r) on the scheme's grid."""
+    inc = np.asarray(increments, dtype=float)
+    if inc.ndim != 3 or inc.shape[1] != cfg.n or inc.shape[2] != m.brownian_dim:
+        raise DimensionError(
+            f"increments shape {inc.shape} incompatible with n={cfg.n}, r={m.brownian_dim}")
+    return inc
+
+
 def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
               store_stride: int = 1, record_flags: bool = False,
               record_iterations: bool = False) -> BatchPaths:
     """Advance a batch of paths; increments must be (paths, n, r) on the
     scheme's own grid."""
-    inc = np.asarray(increments, dtype=float)
-    if inc.ndim != 3 or inc.shape[1] != cfg.n or inc.shape[2] != m.brownian_dim:
-        raise DimensionError(
-            f"increments shape {inc.shape} incompatible with n={cfg.n}, r={m.brownian_dim}")
+    inc = _checked_increments(m, cfg, increments)
     npaths = inc.shape[0]
     inc = _twin(inc)
     rows = inc.shape[0]
@@ -202,14 +208,16 @@ def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
                 states: np.ndarray) -> np.ndarray:
     """Residuals of the defining step equations along stored paths.
 
-    Returns (paths, n) with |X_{l+1} - xhat_l - h f(t_{l+1}, X_{l+1})|;
-    reuses the recorded increments, so it is an independent check that the
-    engine solved the right equations.
+    Returns (paths, n) with |X_{l+1} - xhat_l - h f(t_{l+1}, X_{l+1})| from
+    the recorded increments (paths, n, r) and states (paths, n + 1, d), so
+    it is an independent check that the engine solved the right equations.
     """
+    inc = _checked_increments(m, cfg, increments)
+    npaths = inc.shape[0]
     st = np.asarray(states, dtype=float)
-    npaths = st.shape[0]
-    st = _twin(st)
-    inc = _twin(np.asarray(increments, dtype=float))
+    if st.shape != (npaths, cfg.n + 1, m.rs.dim):
+        raise DimensionError(f"states shape {st.shape} != {(npaths, cfg.n + 1, m.rs.dim)}")
+    st, inc = _twin(st), _twin(inc)
     grid = TimeGrid(cfg.n, m.T)
     a = m.rs.matrix
     kvg = m.k_at(grid.times)

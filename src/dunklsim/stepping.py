@@ -11,8 +11,9 @@ equation of the strictly convex barrier
     phi(y) = |y - xhat|^2 / 2 - h * sum_alpha k_alpha log <alpha, y>,
 
 so the chamber solution exists and is unique for every xhat in R^d.  The
-exact solver runs damped Newton on phi with a feasibility-capped line
-search, for at most 200 iterations (`_NEWTON_CAP`).  The capped solver
+exact solver runs damped Newton on grad phi = 0, for at most 200
+iterations (`_NEWTON_CAP`), with a wall-capped line search that
+backtracks on the residual |grad phi| it certifies.  The capped solver
 replaces 1/<alpha,y> by its eps-cap, which makes the map
 y -> xhat + h f_eps(y) a global contraction whenever h < eps^2 / L
 (L = sum k_alpha |alpha|^2).  The geometric error certificate
@@ -31,8 +32,8 @@ The public solvers take one predictor and serve as the reference for the
 batched cores below, which advance a whole batch of predictors in
 lockstep for `scheme.run_batch`; every per-path update is elementwise,
 so a path's step does not depend on the other paths of a multi-row
-batch.  Newton works on the rows still active and lists a lone active
-row twice, so its matrix products always go through gemm.
+batch.  Newton lists a lone active row twice, and the reference its one
+predictor, so its matrix products always go through gemm.
 """
 from __future__ import annotations
 
@@ -45,8 +46,8 @@ from .errors import ChamberError, DimensionError, ParameterError, SolverError
 from .model import _dot, repulsion
 from .roots import RootSystem
 
-# Armijo slope fraction and the feasibility fraction of the distance to
-# the nearest wall kept by the line search.
+# Newton's line search: a trial at step t must cut the residual by the
+# factor 1 - _ARMIJO t and cover at most _WALL_FRACTION of the way to a wall.
 _ARMIJO = 1e-4
 _WALL_FRACTION = 0.95
 _FIXED_POINT_CAP = 200_000
@@ -124,13 +125,14 @@ def _per_root_k(rs: RootSystem, k_orbit) -> np.ndarray:
 
 def solve_exact_step(rs: RootSystem, k_orbit, xhat, h: float, tol: float = 1e-10,
                      initial=None) -> SolveReport:
-    """Solve the implicit step exactly (damped Newton on the barrier).
+    """Solve the implicit step exactly (damped Newton on grad phi = 0).
 
     `k_orbit` holds one positive strength per orbit (already evaluated at
     the step's time).  The residual of the report is
-    |y - xhat - h f(y)| <= tol, with f evaluated by `model.repulsion`.
-    Raises SolverError (carrying the best iterate) if the tolerance is not
-    certified within 200 Newton iterations (`_NEWTON_CAP`).
+    |y - xhat - h f(y)| <= tol, with f evaluated by `model.repulsion`; y is
+    the engine's step for this predictor bitwise.  Raises SolverError
+    (carrying the best iterate) if the tolerance is not certified within
+    200 Newton iterations (`_NEWTON_CAP`).
     """
     if not h > 0.0:
         raise ParameterError(f"step weight must be positive, got {h}")
@@ -138,8 +140,7 @@ def solve_exact_step(rs: RootSystem, k_orbit, xhat, h: float, tol: float = 1e-10
     xhat = np.asarray(xhat, dtype=float)
     if xhat.shape != (rs.dim,):
         raise DimensionError(f"predictor shape {xhat.shape} != ({rs.dim},)")
-    y0 = None if initial is None else np.asarray(initial, dtype=float)[None, :]
-    y, iters, res, ok = _newton_batch(rs, kv, xhat[None, :], h, tol, y0)
+    y, iters, res, ok = _newton_batch(rs, kv, _twin(xhat[None, :]), h, tol, initial)
     wall = float(rs.pairings(y[0]).min())
     if not ok[0]:
         raise SolverError(
@@ -198,16 +199,20 @@ def fixed_point_certificate(rs: RootSystem, k_orbit, h: float, eps: float,
 
 def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
                   tol: float, initial: np.ndarray | None = None):
-    """Damped Newton on the barrier for a batch of predictors (m, d).
+    """Damped Newton on grad phi(y) = y - xhat - h f(y) = 0 for a batch of
+    predictors (m, d), elementwise per path; pass a one-row batch `_twin`ned.
 
-    Returns (y, iterations, residuals, converged).  All updates are
-    elementwise per path; paths that have converged are frozen.
+    The Jacobian I + h sum k / <alpha, y>^2 alpha alpha^T is SPD with
+    eigenvalues >= 1, so the Newton step decreases the residual |grad phi|.
+    The wall-capped step is halved (at most 60 times) until the trial is
+    inside with residual <= (1 - _ARMIJO t) times the current one, or rounds
+    to the iterate, which no smaller t can move.  Each path carries its
+    accepted trial's pairings, gradient and residual, so residuals are only
+    evaluated in the line search.  Returns (y, iterations, residuals,
+    converged); a path stops at residual <= tol or after `_NEWTON_CAP`.
     """
     a = rs.matrix
     m, d = xhat.shape
-    scale = float(np.sum(kv * rs.norms_sq))
-    target = math.sqrt(h * scale) / 2.0
-
     if initial is not None:
         y = np.broadcast_to(np.asarray(initial, dtype=float), xhat.shape).copy()
         if np.any((y @ a.T).min(axis=1) <= 0.0):
@@ -215,85 +220,54 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
     else:
         # start from the predictor, pushed along the interior direction
         # until the smallest pairing reaches the step's natural scale
+        target = math.sqrt(h * float(np.sum(kv * rs.norms_sq))) / 2.0
         y = xhat.copy()
         p = y @ a.T
         need = p.min(axis=1) < target
         if np.any(need):
             eta = rs.interior_direction
-            eta_p = a @ eta
-            s = np.max((target - p[need]) / eta_p[None, :], axis=1)
+            s = np.max((target - p[need]) / (a @ eta)[None, :], axis=1)
             y[need] = y[need] + s[:, None] * eta[None, :]
-
+    p = y @ a.T
+    g = y - xhat - h * repulsion(a, kv, p)
+    res = np.sqrt(np.sum(g * g, axis=1))
     outer = np.einsum("ri,rj->rij", a, a)  # (n_roots, d, d)
     iters = np.zeros(m, dtype=int)
-    res = np.full(m, np.inf)
-    active = np.ones(m, dtype=bool)
 
     for _ in range(_NEWTON_CAP):
-        idx = _twin(np.nonzero(active)[0])
+        idx = _twin(np.nonzero(res > tol)[0])
         if idx.size == 0:
             break
-        ya = y[idx]
-        pa = ya @ a.T
-        grad = ya - xhat[idx] - h * repulsion(a, kv, pa)
-        r = np.sqrt(np.sum(grad * grad, axis=1))
-        res[idx] = r
-        done = r <= tol
-        if np.any(done):
-            active[idx[done]] = False
-            keep = _twin(np.nonzero(~done)[0])
-            idx = idx[keep]
-            if idx.size == 0:
-                break
-            ya, pa, grad, r = ya[keep], pa[keep], grad[keep], r[keep]
-        curv = kv / (pa * pa)
-        hess = np.eye(d)[None] + h * np.einsum("mr,rij->mij", curv, outer)
-        step = _solve_spd(hess, -grad)
+        ya, pa, ga, r = y[idx], p[idx], g[idx], res[idx]
+        hess = np.eye(d)[None] + h * np.einsum("mr,rij->mij", kv / (pa * pa), outer)
+        step = _solve_spd(hess, -ga)
 
         # stay strictly inside: cap at a fraction of the distance to the wall
         adotstep = step @ a.T
         with np.errstate(divide="ignore"):
             ratio = np.where(adotstep < 0.0, -pa / adotstep, np.inf)
         t = np.minimum(1.0, _WALL_FRACTION * ratio.min(axis=1))
-
-        phi0 = 0.5 * np.sum((ya - xhat[idx]) ** 2, axis=1) - h * np.sum(kv * np.log(pa), axis=1)
-        slope = np.sum(grad * step, axis=1)
-        accepted = np.zeros(idx.size, dtype=bool)
-        ycand = ya.copy()
+        # a settled row's slots hold its accepted trial; the others still
+        # hold the iterate the next trial starts from
+        settled = np.zeros(idx.size, dtype=bool)
         for _ls in range(60):
             trial = ya + t[:, None] * step
             ptrial = trial @ a.T
-            feas = ptrial.min(axis=1) > 0.0
-            phi1 = np.where(
-                feas,
-                0.5 * np.sum((trial - xhat[idx]) ** 2, axis=1)
-                - h * np.sum(kv * np.log(np.maximum(ptrial, 1e-300)), axis=1),
-                np.inf)
-            # near the minimizer phi decrements fall below the floating-point
-            # resolution of phi itself; a strict residual decrease (computed
-            # on ~tol-sized numbers with full precision) then stands in for
-            # the Armijo test
             gtrial = trial - xhat[idx] - h * repulsion(
                 a, kv, np.where(ptrial > 0.0, ptrial, np.inf))
             rtrial = np.sqrt(np.sum(gtrial * gtrial, axis=1))
-            ok = ~accepted & feas & (
-                (phi1 <= phi0 + _ARMIJO * t * slope)
-                | (rtrial <= (1.0 - _ARMIJO * t) * r))
-            ycand[ok] = trial[ok]
-            accepted |= ok
-            if accepted.all():
+            take = ~settled & (
+                ((ptrial.min(axis=1) > 0.0) & (rtrial <= (1.0 - _ARMIJO * t) * r))
+                | np.all(trial == ya, axis=1))
+            ya[take], pa[take], ga[take], r[take] = (
+                trial[take], ptrial[take], gtrial[take], rtrial[take])
+            settled |= take
+            if settled.all():
                 break
-            t = np.where(accepted, t, t * 0.5)
-        y[idx] = ycand
+            t = np.where(settled, t, t * 0.5)
+        y[idx], p[idx], g[idx], res[idx] = ya, pa, ga, r
         iters[idx] += 1  # once per path, also for a twinned row
-
-    # refresh residuals for paths that converged on the last sweep
-    idx = _twin(np.nonzero(active)[0])
-    if idx.size:
-        grad = y[idx] - xhat[idx] - h * repulsion(a, kv, y[idx] @ a.T)
-        res[idx] = np.sqrt(np.sum(grad * grad, axis=1))
-        active[idx] = res[idx] > tol
-    return y, iters, res, ~active
+    return y, iters, res, res <= tol
 
 
 def _twin(a: np.ndarray) -> np.ndarray:

@@ -273,6 +273,18 @@ def test_moment_threshold_uses_declared_bound():
     assert moment_threshold(m) == pytest.approx(2.0 * 4.0 / 4.0 - 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["base", "coeffs"])
+def test_linear_sigma_rejects_non_finite_entries(where, bad):
+    # a NaN pairing passes every `<= 0` chamber check, so a non-finite
+    # coefficient would run to NaN states without any error
+    base = [[1.0, 0.0], [0.0, 1.0]]
+    coeffs = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    (base[1] if where == "base" else coeffs[1][0])[1] = bad
+    with pytest.raises(ParameterError):
+        LinearSigma(base=base, coeffs=coeffs, sup_bound=2.0)
+
+
 # ---------------------------------------------------------------------------
 # ModelSpec validation
 

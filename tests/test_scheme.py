@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklsim import (
+    DimensionError,
     ParameterError,
     PathSolverError,
     RootSystem,
@@ -204,8 +205,20 @@ def test_audit_single_path_batch():
     assert res.max() <= cfg.solver_tol
 
 
-# ---------------------------------------------------------------------------
-# truncated variant semantics
+@pytest.mark.parametrize("case", ["increments-finer", "states-shorter", "increments-fewer-paths"])
+def test_audit_rejects_shapes_off_the_scheme_grid(case):
+    m = dyson_model(3, k=4.0)
+    cfg = SchemeConfig(variant="exact", theta=0.0, n=8)
+    inc = _paths(m, 8, 2, 4)
+    states = run_batch(m, cfg, inc).states
+    if case == "increments-finer":        # drawn for n=16: not the audited grid
+        inc = _paths(m, 16, 2, 4)
+    elif case == "states-shorter":
+        states = states[:, :5]
+    else:
+        inc = inc[:2]
+    with pytest.raises(DimensionError):
+        audit_batch(m, cfg, inc, states)
 
 def test_truncated_matches_exact_deep_in_chamber():
     m = dyson_model(2, k=4.0, xi=(3.0, -3.0), T=0.25)

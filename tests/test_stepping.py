@@ -12,6 +12,7 @@ from dunklsim import (
     RootSystem,
     SolverError,
     closed_form_step_1d,
+    direct_sum,
     fixed_point_certificate,
     make_type_a,
     make_type_b,
@@ -19,7 +20,9 @@ from dunklsim import (
     solve_exact_step,
     solve_truncated_step,
 )
-from dunklsim.stepping import _fixed_point_batch, step_residual
+from dunklsim import stepping
+from dunklsim.model import repulsion
+from dunklsim.stepping import _fixed_point_batch, _newton_batch, step_residual
 
 D1 = RootSystem(dim=1, positive_roots=((1.0,),), orbits=((0,),))
 
@@ -117,6 +120,85 @@ def test_exact_step_rejects_nonpositive_stepsize():
         solve_exact_step(D1, [1.0], np.array([1.0]), 0.0)
     with pytest.raises(ParameterError):
         solve_exact_step(D1, [1.0], np.array([1.0]), -0.1)
+
+
+# ---------------------------------------------------------------------------
+# batched Newton kernel
+
+NEWTON_SYSTEMS = {
+    "A3": (make_type_a(3), [2.0]),
+    "A4": (make_type_a(4), [1.0]),
+    "A5": (make_type_a(5), [0.8]),
+    "B2": (make_type_b(2), [2.0, 1.0]),
+    "B3": (make_type_b(3), [1.5, 0.7]),
+    "B4": (make_type_b(4), [1.0, 2.0]),
+    "A3+B2": (direct_sum(make_type_a(3), make_type_b(2)), [2.0, 1.5, 0.7]),
+}
+
+
+def _fresh_residual(rs, kv, xhat, h, y):
+    """|y - xhat - h f(y)| per row, recomputed from y (two or more rows, so
+    the products sum as in the solver)."""
+    g = y - xhat - h * repulsion(rs.matrix, kv, y @ rs.matrix.T)
+    return np.sqrt(np.sum(g * g, axis=1))
+
+
+def _predictors(rs, count, seed, spread):
+    """Points near the chamber's walls, moved off by noise of size `spread`."""
+    rng = np.random.default_rng(seed)
+    near = sample_chamber_points(rs, count, rng, wall_lo=1e-3, wall_hi=1.0)
+    return near + spread * rng.normal(size=near.shape)
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2])
+def test_newton_batch_returns_residual_of_its_iterate(monkeypatch, cap):
+    """The residual the kernel reports is that of the y it returns, bitwise,
+    whether a row converged early, late, or was stopped by the cap."""
+    if cap is not None:
+        monkeypatch.setattr(stepping, "_NEWTON_CAP", cap)
+    rs, k = NEWTON_SYSTEMS["A3"]
+    kv = np.asarray(k)[rs.orbit_of]
+    xhat = _predictors(rs, 32, 11, 0.5)
+    y, iters, res, ok = _newton_batch(rs, kv, xhat, 0.05, 1e-10)
+    assert res.tobytes() == _fresh_residual(rs, kv, xhat, 0.05, y).tobytes()
+    assert np.array_equal(ok, res <= 1e-10)
+    if cap is None:
+        assert ok.all() and np.unique(iters).size > 2
+    else:
+        assert iters.max() == cap and not ok.all()
+
+
+def test_newton_batch_lone_straggler():
+    """A row that iterates alone after the others converged runs twinned:
+    its result and residual equal its own solve bitwise."""
+    rs, k = NEWTON_SYSTEMS["B3"]
+    kv = np.asarray(k)[rs.orbit_of]
+    deep = sample_chamber_points(rs, 5, np.random.default_rng(3), wall_lo=1.0, wall_hi=3.0)
+    xhat = np.vstack([deep, -20.0 * rs.interior_direction])
+    y, iters, res, ok = _newton_batch(rs, kv, xhat, 0.02, 1e-10)
+    assert ok.all() and iters[-1] > iters[:-1].max() + 1
+    assert res.tobytes() == _fresh_residual(rs, kv, xhat, 0.02, y).tobytes()
+    rep = solve_exact_step(rs, k, xhat[-1], 0.02)
+    assert rep.y.tobytes() == y[-1].tobytes()
+    assert (rep.iterations, rep.residual) == (iters[-1], res[-1])
+
+
+@given(st.sampled_from(sorted(NEWTON_SYSTEMS)), st.floats(1e-3, 0.1),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_newton_batch_rows_equal_reference_solves(name, h, spread, seed):
+    """Each row of a batch is the reference solve of that predictor alone,
+    bitwise, strictly inside the chamber and certified."""
+    rs, k = NEWTON_SYSTEMS[name]
+    kv = np.asarray(k)[rs.orbit_of]
+    xhat = _predictors(rs, 6, seed, spread)
+    y, iters, res, ok = _newton_batch(rs, kv, xhat, h, 1e-10)
+    assert ok.all() and np.all(res <= 1e-10)
+    assert np.all(rs.pairings(y).min(axis=1) > 0.0)
+    for i in range(xhat.shape[0]):
+        rep = solve_exact_step(rs, k, xhat[i], h)
+        assert rep.y.tobytes() == y[i].tobytes()
+        assert (rep.iterations, rep.residual) == (iters[i], res[i])
 
 
 # ---------------------------------------------------------------------------

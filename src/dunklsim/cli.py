@@ -271,14 +271,11 @@ def cmd_describe(args) -> int:
     print(f"start point        : {tuple(round(v, 12) for v in m.xi)}")
     print(f"scheme             : {s.variant} theta-EM, theta = {s.theta:g}")
     print(f"repulsion scale L  : {L:.17g}")
-    print(f"diffusion size sup : {sigma_sup:.17g}"
-          + (" (declared bound)" if m.sigma.bar_declared else ""))
+    print(f"diffusion size sup : {sigma_sup:.17g}")
     if p_star == float("inf"):
         print("moment threshold   : infinite (no diffusion)")
     else:
-        print(f"moment threshold   : {p_star:.17g}"
-              + (" (conservative: uses the declared diffusion bound)"
-                 if m.sigma.bar_declared else ""))
+        print(f"moment threshold   : {p_star:.17g}")
 
     grids = list(cfg.n_list or ())
     if cfg.n is not None and cfg.n not in grids:

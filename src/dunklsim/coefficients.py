@@ -1,32 +1,41 @@
 """Diffusion and outer-drift coefficient descriptors.
 
-Descriptors are declarative so that the model layer can extract exact
-Lipschitz constants and sup bounds where the form allows it, instead of
-estimating them by sampling.  Spatially dependent forms must declare the
-bounds that cannot be computed from the data.
+Descriptors are declarative so that the model layer can read exact
+Lipschitz constants and sup bounds off the form instead of estimating
+them by sampling.
 
 Three diffusion forms:
 
 * `DiagonalSigma`, diag(fn_1(t), ..., fn_d(t)): one time function per
   coordinate, or a single one broadcast to all d (sigma = fn(t) * I);
 * `MatrixSigma`, a constant d x r matrix;
-* `LinearSigma`, base + sum_l x_l C_l with a declared sup bound, the only
+* `LinearSigma`, base + sum_l clip(x_l, -R, R) C_l, the only
   state-dependent form.
 
-The scalar diffusion size `bar(t)` used in moment thresholds is
-
-* the largest diagonal entry magnitude when the matrix is square diagonal,
-* the Frobenius norm otherwise,
-* the declared bound for `LinearSigma`.
+The scalar diffusion size `bar(t)` used in moment thresholds is the sup
+over x of the size that `_sizes` defines.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .timefn import TimeFn, as_timefn
+
+
+def _sizes(mats: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """Diffusion size of each matrix in a (m, d, r) stack of values of a
+    form built from the matrices `parts` (p, d, r): the largest |diagonal
+    entry| when every part is square diagonal, the Frobenius norm
+    otherwise.  Both are convex in the form's coefficients."""
+    d, r = parts.shape[1:]
+    if d == r and not np.any(parts * (1.0 - np.eye(d))):
+        return np.abs(np.diagonal(mats, axis1=1, axis2=2)).max(axis=1)
+    return np.sqrt(np.sum(mats * mats, axis=(1, 2)))
 
 
 @dataclass(frozen=True)
@@ -51,15 +60,8 @@ class DiagonalSigma:
     def bar(self, t: float) -> float:
         return max(abs(float(f(t))) for f in self.fns)
 
-    @property
-    def bar_declared(self) -> bool:
-        return False
-
     def lipschitz(self, T: float) -> float:
         return 0.0
-
-    def breakpoints(self, T):
-        return tuple(b for f in self.fns for b in f.breakpoints(T))
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,7 @@ class MatrixSigma:
     """Constant d x r matrix."""
 
     values: tuple[tuple[float, ...], ...]
+    fns = ()  # no time functions
 
     def __post_init__(self):
         m = np.asarray(self.values, dtype=float)
@@ -87,39 +90,28 @@ class MatrixSigma:
     def apply(self, t, x, db):
         return db @ self.array.T
 
-    def _is_square_diagonal(self) -> bool:
-        m = self.array
-        return m.shape[0] == m.shape[1] and np.all(m == np.diag(np.diag(m)))
-
     def bar(self, t: float) -> float:
-        m = self.array
-        if self._is_square_diagonal():
-            return float(np.abs(np.diag(m)).max())
-        return float(np.sqrt(np.sum(m * m)))
-
-    @property
-    def bar_declared(self) -> bool:
-        return False
+        m = self.array[None]
+        return float(_sizes(m, m)[0])
 
     def lipschitz(self, T: float) -> float:
         return 0.0
 
-    def breakpoints(self, T):
-        return ()
-
 
 @dataclass(frozen=True)
 class LinearSigma:
-    """sigma(t, x) = base + sum_l x_l * coeffs[l], with a declared sup bound.
+    """sigma(t, x) = base + sum_l clip(x_l, -radius, radius) * coeffs[l].
 
-    The Lipschitz constant follows from the coefficient blocks; the sup of
-    the diffusion size over the (unbounded) chamber cannot, so the caller
-    must declare the bound used in moment thresholds.
+    Linear in x on the box |x_l| <= radius and constant outside it.  The
+    size is convex in the clipped vector, so its sup over R^d is the
+    largest size over the 2^d box vertices (d <= 16); clipping is
+    1-Lipschitz, so the Lipschitz constant is sqrt(sum_l |C_l|_F^2).
     """
 
     base: tuple[tuple[float, ...], ...]
     coeffs: tuple  # (d, d, r) nested tuples
-    sup_bound: float
+    radius: float
+    fns = ()  # no time functions
 
     def __post_init__(self):
         b = np.asarray(self.base, dtype=float)
@@ -127,15 +119,17 @@ class LinearSigma:
         if (b.ndim != 2 or c.ndim != 3 or c.shape[0] != b.shape[0] or c.shape[1:] != b.shape
                 or not (np.all(np.isfinite(b)) and np.all(np.isfinite(c)))):
             raise ParameterError("linear diffusion needs finite base (d,r) and coeffs (d,d,r)")
-        if not (self.sup_bound > 0.0 and np.isfinite(self.sup_bound)):
-            raise ParameterError("linear diffusion needs a positive declared sup bound")
+        if not (self.radius > 0.0 and math.isfinite(self.radius)):
+            raise ParameterError("linear diffusion needs a positive finite radius")
+        if b.shape[0] > 16:  # the sup is a max over 2^d vertices
+            raise ParameterError(f"linear diffusion needs dimension <= 16, got {b.shape[0]}")
 
-    @property
-    def base_array(self):
+    @cached_property
+    def base_array(self) -> np.ndarray:
         return np.asarray(self.base, dtype=float)
 
-    @property
-    def coeff_array(self):
+    @cached_property
+    def coeff_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=float)
 
     def brownian_dim(self, d: int) -> int:
@@ -144,23 +138,31 @@ class LinearSigma:
             raise DimensionError(f"diffusion matrix has {b.shape[0]} rows for dimension {d}")
         return b.shape[1]
 
+    def matrices(self, x: np.ndarray) -> np.ndarray:
+        """sigma at a batch of states (m, d), shape (m, d, r)."""
+        z = np.clip(x, -self.radius, self.radius)
+        return self.base_array + np.einsum("ml,lir->mir", z, self.coeff_array)
+
+    def size(self, x: np.ndarray) -> np.ndarray:
+        """The diffusion size at a batch of states (m, d), shape (m,)."""
+        return _sizes(self.matrices(x), np.concatenate([self.base_array[None], self.coeff_array]))
+
     def apply(self, t, x, db):
-        mats = self.base_array[None] + np.einsum("ml,lir->mir", x, self.coeff_array)
-        return np.einsum("mir,mr->mi", mats, db)
+        return np.einsum("mir,mr->mi", self.matrices(x), db)
+
+    @cached_property
+    def _bar(self) -> float:
+        d = self.base_array.shape[0]
+        corners = self.radius * (1.0 - 2.0 * ((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1))
+        # blocks of 4096 vertices bound the stack of matrices held at once
+        return max(float(self.size(corners[i:i + 4096]).max())
+                   for i in range(0, corners.shape[0], 4096))
 
     def bar(self, t: float) -> float:
-        return float(self.sup_bound)
-
-    @property
-    def bar_declared(self) -> bool:
-        return True
+        return self._bar
 
     def lipschitz(self, T: float) -> float:
-        c = self.coeff_array
-        return float(np.sqrt(sum(np.sum(c[l] * c[l]) for l in range(c.shape[0]))))
-
-    def breakpoints(self, T):
-        return ()
+        return float(np.linalg.norm(self.coeff_array))
 
 
 SigmaSpec = DiagonalSigma | MatrixSigma | LinearSigma

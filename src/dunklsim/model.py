@@ -121,11 +121,9 @@ def lipschitz_scale(m: ModelSpec) -> float:
 
 def _noise_lattice(m: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Times on which k is compared with the noise (a 1024-point lattice
-    joined with every breakpoint of k and sigma) and sigma's bound there."""
-    ts = time_lattice(m.T, tuple(m.k))
-    extra = np.asarray(m.sigma.breakpoints(m.T), dtype=float)
-    if extra.size:
-        ts = np.unique(np.concatenate([ts, extra]))
+    joined with every breakpoint of k and of sigma's time functions) and
+    sigma's bound there."""
+    ts = time_lattice(m.T, tuple(m.k) + m.sigma.fns)
     return ts, np.array([m.sigma.bar(t) for t in ts])
 
 
@@ -196,8 +194,8 @@ def validate_assumptions(m: ModelSpec, sample_count: int = 256,
                          tol: float = 1e-8) -> AssumptionReport:
     """Check the standing assumptions of the model on [0, T].
 
-    Regularity of the outer coefficients comes from the declared or exact
-    Lipschitz data of the descriptors.  The noise-domination condition
+    Regularity of the outer coefficients comes from the exact Lipschitz
+    data of the descriptors.  The noise-domination condition
     2 k(t) >= |sigma(t)|^2 is evaluated on a time lattice (exact for
     constant forms).  Chamber alignment of the outer drift is exact for
     every drift form.  The weighted pairing identity is tested at

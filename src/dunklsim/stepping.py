@@ -61,7 +61,6 @@ class SolveReport:
     y: np.ndarray
     iterations: int
     residual: float
-    wall_distance: float
 
 
 def closed_form_step_1d(xhat: float, h: float, k: float) -> float:
@@ -141,13 +140,11 @@ def solve_exact_step(rs: RootSystem, k_orbit, xhat, h: float, tol: float = 1e-10
     if xhat.shape != (rs.dim,):
         raise DimensionError(f"predictor shape {xhat.shape} != ({rs.dim},)")
     y, iters, res, ok = _newton_batch(rs, kv, _twin(xhat[None, :]), h, tol, initial)
-    wall = float(rs.pairings(y[0]).min())
     if not ok[0]:
         raise SolverError(
             f"Newton did not certify residual {tol:g} in {_NEWTON_CAP} iterations",
             best=y[0], residual=float(res[0]), iterations=int(iters[0]))
-    return SolveReport(y=y[0], iterations=int(iters[0]), residual=float(res[0]),
-                       wall_distance=wall)
+    return SolveReport(y=y[0], iterations=int(iters[0]), residual=float(res[0]))
 
 
 def solve_truncated_step(rs: RootSystem, k_orbit, xhat, h: float, eps: float,
@@ -168,8 +165,7 @@ def solve_truncated_step(rs: RootSystem, k_orbit, xhat, h: float, eps: float,
     y, iters = _fixed_point_batch(rs, kv, xhat[None, :], h, eps,
                                   _certificate(rs, kv, h, eps, tol))
     return SolveReport(y=y[0], iterations=int(iters[0]),
-                       residual=step_residual(rs, k_orbit, xhat, h, y[0], eps),
-                       wall_distance=float(rs.pairings(y[0]).min()))
+                       residual=step_residual(rs, k_orbit, xhat, h, y[0], eps))
 
 
 def step_residual(rs: RootSystem, k_orbit, xhat, h: float, y, eps: float | None = None) -> float:

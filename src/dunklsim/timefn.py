@@ -76,22 +76,28 @@ class TableFn:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.size < 2 or v.shape != t.shape:
             raise ParameterError("table needs matching time/value vectors of length >= 2")
+        # Python floats overflow to inf without a warning
+        steps = [b - a for x in (t.tolist(), v.tolist()) for a, b in zip(x, x[1:])]
+        if not all(map(math.isfinite, steps)):
+            raise ParameterError("table entries and the steps between them must be finite")
         if not np.all(np.diff(t) > 0):
             raise ParameterError("table times must be strictly increasing")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ParameterError("table entries must be finite")
         object.__setattr__(self, "times", tuple(float(x) for x in t))
         object.__setattr__(self, "values", tuple(float(x) for x in v))
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.interp(t, self.times, self.values)
-        return out if t.ndim else float(out)
+        """v_i + w (v_{i+1} - v_i) with w = (t - t_i) / (t_{i+1} - t_i) in
+        [0, 1]: no factor overflows between close nodes, as the slope
+        (v_{i+1} - v_i) / (t_{i+1} - t_i) can.  Exact at every node."""
+        t = np.clip(np.asarray(t, dtype=float), self.times[0], self.times[-1])
+        i = np.searchsorted(self.times, t, side="right") - 1
+        # past the last node: a zero-length step to a copy of its value
+        ts, vs = np.append(self.times, np.inf), np.append(self.values, self.values[-1])
+        out = vs[i] + (t - ts[i]) / (ts[i + 1] - ts[i]) * (vs[i + 1] - vs[i])
+        return out if out.ndim else float(out)
 
     def _covering(self, T: float) -> np.ndarray:
-        ts = np.asarray((0.0,) + self.times + (T,))
-        vals = np.interp(np.clip(ts, 0.0, T), self.times, self.values)
-        return vals
+        return self(np.clip(np.asarray((0.0,) + self.times + (T,)), 0.0, T))
 
     def sup_on(self, T: float) -> float:
         return float(self._covering(T).max())

@@ -16,7 +16,9 @@ import dunklsim.mc as mc
 from dunklsim import fixed_point_certificate, run_batch
 from dunklsim.brownian import batch_increments
 from dunklsim.cli import main
+from dunklsim.coefficients import LinearSigma
 from dunklsim.config import load_config
+from dunklsim.model import moment_threshold
 from dunklsim.scheme import truncation_level
 
 MODEL_A2 = {
@@ -112,6 +114,27 @@ def test_describe_quiet_when_guarantee_holds(tmp_path, capsys):
     assert rc == 0
     assert "warning" not in out
     assert "cap level" not in out                      # exact scheme has no cap
+
+
+def test_describe_and_validate_use_computed_linear_sigma_sup(tmp_path, capsys, monkeypatch):
+    # sigma = 0.5 I + 0.3 sum_l clip(x_l, -R, R) I on A(2), k = 4: the sup
+    # 0.5 + 0.6 R is dominated by 2k = 8 for R = 2 but not for R = 10
+    path = _write(tmp_path, _simulate_cfg(tmp_path))
+    cfg = load_config(path)
+    eye = np.eye(2)
+    for radius, rc_validate, verdict in ((2.0, 0, "PASS"), (10.0, 2, "FAIL")):
+        sigma = LinearSigma(base=(0.5 * eye).tolist(), coeffs=[(0.3 * eye).tolist()] * 2,
+                            radius=radius)
+        model = dataclasses.replace(cfg.model, sigma=sigma)
+        monkeypatch.setattr(cli, "load_config",
+                            lambda _: dataclasses.replace(cfg, model=model))
+        assert main(["describe", path]) == 0
+        out = capsys.readouterr().out
+        assert f"diffusion size sup : {sigma.bar(0.0):.17g}\n" in out
+        assert f"moment threshold   : {moment_threshold(model):.17g}\n" in out
+        assert sigma.bar(0.0) == pytest.approx(0.5 + 0.6 * radius)
+        assert main(["validate", path]) == rc_validate
+        assert f"repulsion dominates noise : {verdict}" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dunklsim import (
@@ -195,6 +195,7 @@ _strength = st.one_of(
 
 
 @given(_strength, _strength, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+@example(ConstantFn(0.1), TableFn((-2.2250738585e-313, 5e-324), (2.0, 1.0)), [0.0])
 @settings(max_examples=200, deadline=None)
 def test_k_at_grid_rows_equal_scalar_calls_bitwise(k_long, k_short, times):
     m = ModelSpec(rs=make_type_b(2), T=1.0, xi=(2.0, 1.0), sigma=DiagonalSigma((1.0,)),
@@ -229,7 +230,7 @@ def _bar_sup(sigma, T):
     exact extrema (the oracle for the lattice maximum `describe` prints)."""
     if isinstance(sigma, DiagonalSigma):
         return max(max(abs(f.sup_on(T)), abs(f.inf_on(T))) for f in sigma.fns)
-    return sigma.bar(0.0)  # MatrixSigma is constant in t
+    return sigma.bar(0.0)  # MatrixSigma and LinearSigma are constant in t
 
 
 _signed = st.floats(-5.0, 5.0)
@@ -239,6 +240,22 @@ _noise_fn = st.one_of(
     st.lists(st.tuples(st.floats(-1.0, 3.0), _signed), min_size=2, max_size=6,
              unique_by=lambda node: node[0]).map(lambda nodes: TableFn(*zip(*sorted(nodes)))),
 )
+
+
+def _linear_sigmas(d):
+    """LinearSigma forms of dimension d: general (d, r) blocks, or square
+    diagonal ones, which are sized by their largest |diagonal entry|."""
+    def build(r, diagonal, entries, radius):
+        e = np.array(entries).reshape(d + 1, d, r)
+        if diagonal:
+            e = e * np.eye(d)
+        return LinearSigma(base=e[0].tolist(), coeffs=e[1:].tolist(), radius=radius)
+    shape = st.one_of(st.tuples(st.integers(1, 3), st.just(False)),
+                      st.tuples(st.just(d), st.booleans()))
+    return shape.flatmap(lambda rd: st.builds(
+        build, st.just(rd[0]), st.just(rd[1]),
+        st.lists(_signed, min_size=(d + 1) * d * rd[0], max_size=(d + 1) * d * rd[0]),
+        st.floats(0.1, 5.0)))
 
 
 @st.composite
@@ -251,7 +268,8 @@ def _noise_models(draw):
         st.lists(_noise_fn, min_size=d, max_size=d).map(lambda fs: DiagonalSigma(tuple(fs))),
         st.integers(1, 3).flatmap(lambda r: st.lists(
             st.lists(_signed, min_size=r, max_size=r), min_size=d, max_size=d)).map(
-            lambda rows: MatrixSigma(tuple(map(tuple, rows))))))
+            lambda rows: MatrixSigma(tuple(map(tuple, rows)))),
+        _linear_sigmas(d)))
     return ModelSpec(rs=rs, T=draw(st.floats(0.1, 2.0)), xi=xi, sigma=sigma,
                      drift=ZeroDrift(), k=(1.0,))
 
@@ -262,27 +280,76 @@ def test_lattice_max_is_exact_diffusion_sup(m):
     assert float(np.max(_noise_lattice(m)[1])) == _bar_sup(m.sigma, m.T)
 
 
-def test_moment_threshold_uses_declared_bound():
-    # declared sup bound 2 dominates the pointwise sizes -> conservative p*
-    sig = LinearSigma(base=((1.0, 0.0), (0.0, 1.0)),
-                      coeffs=(((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0))),
-                      sup_bound=2.0)
-    m = ModelSpec(rs=make_type_a(2), T=1.0, xi=(1.0, -1.0), sigma=sig,
-                  drift=ZeroDrift(), k=(4.0,))
-    assert m.sigma.bar_declared
-    assert moment_threshold(m) == pytest.approx(2.0 * 4.0 / 4.0 - 1.0)
+def _corners(d, radius):
+    """The 2^d vertices of the box |x_l| <= radius."""
+    return radius * (1.0 - 2.0 * ((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1))
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    _linear_sigmas(d), st.lists(st.lists(st.floats(-50.0, 50.0), min_size=d, max_size=d),
+                                min_size=1, max_size=32))))
+@settings(max_examples=300, deadline=None)
+def test_linear_sigma_bar_is_the_size_sup(case):
+    # points reach 50 radii out: sigma is constant outside the box, and the
+    # size is convex inside it, so no point exceeds the largest vertex (up
+    # to the rounding of the matrix entries)
+    sigma, units = case
+    bar = sigma.bar(0.0)
+    sizes = sigma.size(np.array(units) * sigma.radius)
+    assert np.all(sizes <= bar * (1.0 + 1e-12))
+    corners = _corners(len(units[0]), sigma.radius)
+    top = corners[np.argmax(sigma.size(corners))]
+    assert sigma.size(top[None])[0] == bar
+
+
+@given(st.integers(1, 4).flatmap(lambda d: _linear_sigmas(d)))
+@settings(max_examples=100, deadline=None)
+def test_linear_sigma_without_coefficients_is_its_base(sigma):
+    flat = LinearSigma(sigma.base, np.zeros_like(sigma.coeff_array).tolist(), sigma.radius)
+    assert flat.bar(0.0) == MatrixSigma(sigma.base).bar(0.0)
+    assert flat.lipschitz(1.0) == 0.0
+
+
+def test_moment_threshold_uses_computed_bound():
+    # sigma = 0.5 I + 0.3 sum_l clip(x_l, -R, R) I is diagonal: its size is
+    # |0.5 + 0.3 (z_0 + z_1)|, largest at z = (R, R)
+    eye = np.eye(2)
+    for radius, bar, passes in ((2.0, 1.7, True), (10.0, 6.5, False)):
+        sig = LinearSigma(base=(0.5 * eye).tolist(), coeffs=[(0.3 * eye).tolist()] * 2,
+                          radius=radius)
+        m = dyson_model(2, k=4.0, sigma=sig)
+        assert sig.bar(0.0) == pytest.approx(bar, rel=1e-15)
+        assert moment_threshold(m) == pytest.approx(2.0 * 4.0 / bar ** 2 - 1.0)
+        assert validate_assumptions(m).strength_dominates_noise.ok == passes
+    # a general form is sized by its Frobenius norm: |[[1, +-2], [0, 1]]|_F = sqrt(6)
+    sig = LinearSigma(base=eye.tolist(), coeffs=[[[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)).tolist()],
+                      radius=2.0)
+    assert sig.bar(0.0) == pytest.approx(math.sqrt(6.0))
+    assert sig.lipschitz(1.0) == 1.0
+    assert moment_threshold(dyson_model(2, k=4.0, sigma=sig)) == pytest.approx(8.0 / 6.0 - 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("where", ["base", "coeffs"])
+@pytest.mark.parametrize("where", ["base", "coeffs", "radius"])
 def test_linear_sigma_rejects_non_finite_entries(where, bad):
     # a NaN pairing passes every `<= 0` chamber check, so a non-finite
-    # coefficient would run to NaN states without any error
+    # coefficient would run to NaN states without any error; the radius
+    # must also be positive for the box to bound the state
     base = [[1.0, 0.0], [0.0, 1.0]]
     coeffs = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-    (base[1] if where == "base" else coeffs[1][0])[1] = bad
+    radii = (bad, 0.0, -1.0) if where == "radius" else (2.0,)
+    if where != "radius":
+        (base[1] if where == "base" else coeffs[1][0])[1] = bad
+    for radius in radii:
+        with pytest.raises(ParameterError):
+            LinearSigma(base=base, coeffs=coeffs, radius=radius)
+
+
+def test_linear_sigma_rejects_dimension_above_16():
+    # the sup is a max over 2^d box vertices
     with pytest.raises(ParameterError):
-        LinearSigma(base=base, coeffs=coeffs, sup_bound=2.0)
+        LinearSigma(base=np.zeros((17, 1)).tolist(), coeffs=np.zeros((17, 17, 1)).tolist(),
+                    radius=1.0)
 
 
 # ---------------------------------------------------------------------------

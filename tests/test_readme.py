@@ -1,4 +1,5 @@
 """README's Quick start runs as written and its API names exist."""
+import importlib
 import re
 from pathlib import Path
 
@@ -21,4 +22,12 @@ def test_readme_api_names_resolve():
     assert {"run_batch", "direct_sum", "strong_error", "TableFn"} <= names
     missing = [n for n in sorted(names)
                if not hasattr(dunklsim, n) and not hasattr(dunklsim.mc, n)]
+    assert not missing
+
+
+def test_readme_dotted_names_import():
+    dotted = set(re.findall(r"\bdunklsim\.(\w+)\.([A-Za-z_]\w*)", README))
+    assert ("coefficients", "LinearSigma") in dotted
+    missing = [f"dunklsim.{mod}.{name}" for mod, name in sorted(dotted)
+               if not hasattr(importlib.import_module(f"dunklsim.{mod}"), name)]
     assert not missing

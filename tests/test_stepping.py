@@ -22,6 +22,7 @@ from dunklsim import (
 )
 from dunklsim import stepping
 from dunklsim.model import repulsion
+from dunklsim.roots import min_pairing
 from dunklsim.stepping import _fixed_point_batch, _newton_batch, step_residual
 
 D1 = RootSystem(dim=1, positive_roots=((1.0,),), orbits=((0,),))
@@ -67,18 +68,18 @@ def test_exact_step_failure_reports_newton_cap():
 
 def test_symmetric_two_particle_solution():
     # h*k = 1 puts the minimizer at unit distance along the root direction
-    rep = solve_exact_step(make_type_a(2), [4.0], np.zeros(2), 0.25)
+    rs = make_type_a(2)
+    rep = solve_exact_step(rs, [4.0], np.zeros(2), 0.25)
     r = 1.0 / math.sqrt(2.0)
     assert rep.y == pytest.approx([r, -r], abs=1e-10)
     assert rep.residual <= 1e-10
-    assert rep.wall_distance > 0
+    assert min_pairing(rs, rep.y) > 0
 
 
 def test_newton_stays_interior_from_infeasible_predictor():
     rs = make_type_b(2)
     rep = solve_exact_step(rs, [2.0, 1.0], np.array([-3.0, 4.0]), 0.05)
-    assert rep.wall_distance > 0
-    assert float(rs.pairings(rep.y).min()) > 0
+    assert min_pairing(rs, rep.y) > 0
 
 
 def test_newton_solution_unique_across_initials():

@@ -68,6 +68,17 @@ def test_table_requires_increasing_times():
         TableFn((1.0, 0.0), (1.0, 2.0))
 
 
+def test_table_finite_between_close_nodes():
+    # the slope (v1 - v0) / (t1 - t0) overflows across subnormal spacings
+    assert TableFn((0.0, 1e-310), (2.0, 1.0))(5e-311) == pytest.approx(1.5)
+    f = TableFn((-2.2250738585e-313, 5e-324), (2.0, 1.0))
+    assert 1.0 <= f(0.0) <= 2.0
+    assert f.inf_on(1.0) == 1.0
+    for nodes in (((0.0, 1.0), (-1e308, 1e308)), ((-1e308, 1e308), (0.0, 1.0))):
+        with pytest.raises(ParameterError):           # a step between nodes overflows
+            TableFn(*nodes)
+
+
 def test_table_length_mismatch():
     with pytest.raises(ParameterError):
         TableFn((0.0, 1.0), (1.0,))

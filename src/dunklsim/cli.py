@@ -6,8 +6,9 @@
 
 Outputs land in the run's output directory: one CSV per experiment (17
 significant digits), summary.json with the headline numbers, and
-manifest.json listing every file written.  Files are written atomically
-(temp file + rename); `simulate` streams one chunk of paths at a time.
+manifest.json listing every file written and the process's peak RSS.
+Files are written atomically (temp file + rename); `simulate` streams one
+chunk of paths at a time.
 
 Exit codes: 0 success, 1 unwritable output, 2 invalid config or failed
 validation, 3 solver failure.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -241,6 +243,8 @@ def cmd_run(args) -> int:
         "master_seed": cfg.master_seed,
         "started_at": started,
         "finished_at": datetime.now(timezone.utc).isoformat(),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "config": cfg.raw,
         "outputs": [{"path": name, "rows": rows} for name, rows in files]
                    + [{"path": "summary.json", "rows": None}],

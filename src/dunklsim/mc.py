@@ -7,8 +7,12 @@ Conventions shared by every estimator here:
 * cross-path reductions use the fixed pairwise tree from `reductions`,
   making results independent of execution chunking and thread budget;
 * strong errors couple resolutions through one driver per path on the
-  reference grid, coarsened by exact block sums; the reference solution is
-  the same scheme run at `n_ref`.
+  reference grid, coarsened by exact block sums: each grid is summed from
+  the next finer one, which for power-of-two ratios is bitwise the same as
+  summing it from `n_ref`; the reference solution is the same scheme run
+  at `n_ref`;
+* paths run in chunks of at most `_MAX_CHUNK`, a multiple of `BLOCK`, so
+  memory is bounded by one chunk whatever M is.
 
 RMS errors are reported with delta-method standard errors: if m is the
 mean of the per-path squared sup error and s its standard error, the
@@ -31,14 +35,18 @@ from .reductions import BLOCK, block_partials, mean_se_from_sums, path_mean_se, 
 from .scheme import SchemeConfig, run_batch
 
 _CHUNK_BUDGET_BYTES = 192 * 2 ** 20
-_MAX_CHUNK = 16384
+_MAX_CHUNK = 4096
 
 # strong-rate guarantees ask for these moment thresholds
 RATE_THRESHOLD = {"exact": 6.0, "truncated": 8.0}
 
 
 def _chunk_size(n_fine: int, r: int) -> int:
-    per_path = 8 * n_fine * max(r, 1) * 3  # increments plus stored states headroom
+    # Per path, a chunk holds about three arrays of one fine grid each: its
+    # increments (n, r), a run's states (n+1, d), and one more of that size
+    # (a second run, coarsened copies, state differences).  Everything else
+    # an estimator keeps is per path, or one BLOCK of pairings at a time.
+    per_path = 8 * n_fine * max(r, 1) * 3
     raw = _CHUNK_BUDGET_BYTES // max(per_path, 1)
     return int(min(_MAX_CHUNK, max(BLOCK, (raw // BLOCK) * BLOCK)))
 
@@ -122,11 +130,13 @@ def strong_error(m: ModelSpec, theta: float, n_list, n_ref: int, M: int,
 
     def work(start, stop, inc):
         ref = run_batch(m, cfg_ref, inc, store_stride=ref_stride)
-        for j, n in enumerate(ns):
+        # finest to coarsest, each grid summed from the one before it
+        prev, n_prev = inc, n_ref
+        for j, n in reversed(list(enumerate(ns))):
             if n == n_ref:
                 continue
-            res = run_batch(m, SchemeConfig(variant, theta, n, c, solver_tol),
-                            coarsen(inc, n_ref // n))
+            prev, n_prev = coarsen(prev, n_prev // n), n
+            res = run_batch(m, SchemeConfig(variant, theta, n, c, solver_tol), prev)
             diff = res.states - ref.states[:, ::n_max // n]
             sup2[start:stop, j] = np.sum(diff * diff, axis=2).max(axis=1)
 
@@ -243,14 +253,15 @@ def negative_moments(m: ModelSpec, p: float, theta: float, n: int, M: int,
     sup_vals = np.zeros((M, n_roots)) if pathwise_sup else None
 
     def work(start, stop, inc):
-        res = run_batch(m, cfg, inc)
-        pair = res.states @ m.rs.matrix.T          # (paths, n+1, n_roots)
-        vals = pair ** (-p)
-        first = start // BLOCK
-        block_partials(vals, s1, first)
-        block_partials(vals * vals, s2, first)
-        if sup_vals is not None:
-            sup_vals[start:stop] = vals.max(axis=1)
+        states = run_batch(m, cfg, inc).states
+        # one BLOCK at a time, so pairings and their powers never span the chunk
+        for b in range(0, stop - start, BLOCK):
+            vals = (states[b:b + BLOCK] @ m.rs.matrix.T) ** (-p)   # (paths, n+1, n_roots)
+            j = (start + b) // BLOCK
+            block_partials(vals, s1, j)
+            block_partials(vals * vals, s2, j)
+            if sup_vals is not None:
+                sup_vals[start + b:start + b + len(vals)] = vals.max(axis=1)
 
     _map_paths(m, n, M, master_seed, threads, work)
 

@@ -196,6 +196,23 @@ def test_manifest_row_counts_match_files(tmp_path):
         assert entry["rows"] == len(lines) - 1
 
 
+def test_manifest_records_peak_rss_only(tmp_path):
+    # the manifest gains the process's peak RSS; the results files do not
+    doc = _simulate_cfg(tmp_path)
+    doc["experiment"] = {"kind": "moments", "p": 2.0, "pathwise_sup": True}
+    cfg = _write(tmp_path, doc)
+    runs = []
+    for name in ("a", "b"):
+        d = tmp_path / name
+        assert main(["run", "--output-dir", str(d), cfg]) == 0
+        manifest = json.loads((d / "manifest.json").read_text())
+        assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
+        runs.append({f: (d / f).read_bytes() for f in ("moments.csv", "summary.json")})
+    assert runs[0] == runs[1]
+    summary = json.loads(runs[0]["summary.json"])
+    assert "peak_rss_mb" not in summary and "peak_rss_mb" not in summary["results"]
+
+
 # ---------------------------------------------------------------------------
 # run: output dir precedence and determinism
 

@@ -1,6 +1,7 @@
 """Monte Carlo drivers: error curves, fits, moments, exits, mean checks."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,24 @@ def test_strong_error_warns_below_moment_threshold():
         strong_error(m, 0.0, [8], 32, 128, 1)
 
 
+@pytest.mark.parametrize("n_list", [[4, 16, 32], [4, 16, 32, 128]])
+def test_strong_error_chained_coarsening_matches_direct_bitwise(n_list):
+    # grids with gaps: each is coarsened from the next finer one, which must
+    # equal coarsening it straight from n_ref
+    m = dyson_model(2, k=4.0)
+    n_ref, M, seed = 128, 128, 7
+    cur = strong_error(m, 0.25, n_list, n_ref, M, seed)
+    inc = batch_increments(m.brownian_dim, n_ref, m.T, seed, np.arange(M))
+    ref = run_batch(m, SchemeConfig("exact", 0.25, n_ref), inc, store_stride=n_ref // 32)
+    sup2 = np.zeros((M, len(n_list)))              # the n_ref row stays zero
+    for j, n in enumerate(n for n in n_list if n < n_ref):
+        res = run_batch(m, SchemeConfig("exact", 0.25, n), coarsen(inc, n_ref // n))
+        diff = res.states - ref.states[:, ::32 // n]
+        sup2[:, j] = np.sum(diff * diff, axis=2).max(axis=1)
+    rms, ses = zip(*map(mc._rms, *mc.path_mean_se(sup2)))
+    assert cur.rms_errors == rms and cur.std_errors == ses
+
+
 def test_strong_error_thread_invariant_bitwise():
     m = dyson_model(2, k=4.0)
     runs = [strong_error(m, 0.25, [8, 16], 64, 300, 42, threads=t)
@@ -140,11 +159,8 @@ def _bits(result):
             for f in fields]
 
 
-@pytest.mark.parametrize("name", sorted(ESTIMATORS))
-def test_thread_pool_matches_serial_bitwise(name, monkeypatch):
-    # one-block chunks and M = 2 blocks + 1: three chunks, the last one a
-    # single path, so threads > 1 really run on the pool
-    monkeypatch.setattr(mc, "_MAX_CHUNK", BLOCK)
+def _chunk_sizes(monkeypatch) -> list[int]:
+    """Record the path count of every chunk the estimators draw."""
     sizes = []
     draw = mc.batch_increments
 
@@ -153,11 +169,51 @@ def test_thread_pool_matches_serial_bitwise(name, monkeypatch):
         return draw(r, n, T, seed, ids)
 
     monkeypatch.setattr(mc, "batch_increments", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_thread_pool_matches_serial_bitwise(name, monkeypatch):
+    # one-block chunks and M = 2 blocks + 1: three chunks, the last one a
+    # single path, so threads > 1 really run on the pool
+    monkeypatch.setattr(mc, "_MAX_CHUNK", BLOCK)
+    sizes = _chunk_sizes(monkeypatch)
     run = ESTIMATORS[name]
     M = 2 * BLOCK + 1
     serial = run(M, 5, 1)
     assert sorted(set(sizes)) == [1, BLOCK] and sum(sizes) % M == 0
     assert _bits(run(M, 5, 3)) == _bits(serial)
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_chunk_size_does_not_change_results(name, monkeypatch):
+    # M = 2 blocks + 1 in one chunk at the default cap, in three at one BLOCK
+    sizes = _chunk_sizes(monkeypatch)
+    run = ESTIMATORS[name]
+    M = 2 * BLOCK + 1
+    whole = run(M, 5, 1)
+    assert set(sizes) == {M}
+    sizes.clear()
+    monkeypatch.setattr(mc, "_MAX_CHUNK", BLOCK)
+    assert _bits(run(M, 5, 1)) == _bits(whole)
+    assert sorted(set(sizes)) == [1, BLOCK]
+
+
+def test_negative_moments_memory_bounded_by_one_chunk():
+    # one chunk's increments and states, plus a few BLOCK-sized arrays of
+    # pairings: nothing the estimator holds spans the chunk
+    m = bessel_model(k=4.0)
+    M, n = 4096, 64
+    negative_moments(m, 2.0, 0.25, n, M, 1, pathwise_sup=True)    # warm-up
+    tracemalloc.start()
+    try:
+        negative_moments(m, 2.0, 0.25, n, M, 1, pathwise_sup=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = 8 * M * (2 * n + 1)
+    block = 8 * BLOCK * (n + 1) * m.rs.n_roots
+    assert peak < chunk + 4 * block
 
 
 def test_gap_tiny_deep_in_chamber_and_real_near_wall():

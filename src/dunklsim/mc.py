@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .brownian import batch_increments, coarsen
 from .errors import FitError, GridError, ParameterError
@@ -39,6 +38,29 @@ _MAX_CHUNK = 4096
 
 # strong-rate guarantees ask for these moment thresholds
 RATE_THRESHOLD = {"exact": 6.0, "truncated": 8.0}
+
+# 0.975 quantiles of Student's t for df = 1..62, each the repr of
+# scipy.special.stdtrit(df, 0.975).  A convergence run's n_list holds at
+# most 64 power-of-two divisors of an n_ref < 2**64, so its fits (df =
+# points - 2) never need more.
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378, 2.039513446396408, 2.0369333434601016,
+    2.0345152974493383, 2.0322445093177186, 2.030107928250343, 2.0280940009804502,
+    2.0261924630291093, 2.0243941639119694, 2.022690920036761, 2.021075390306273,
+    2.019540970441376, 2.0180817028184443, 2.016692199227824, 2.0153675744437636,
+    2.014103388880846, 2.012895598919429, 2.0117405137297655, 2.010634757624232,
+    2.0095752371292392, 2.008559112100761, 2.007583770315836, 2.006646805061688,
+    2.0057459953178687, 2.0048792881880564, 2.0040447832891455, 2.003240718847872,
+    2.002465459291007, 2.0017174841452356, 2.000995378088267, 2.0002978220142604,
+    1.999623584994939, 1.9989715170333788,
+)
 
 
 def _chunk_size(n_fine: int, r: int) -> int:
@@ -178,25 +200,38 @@ def scheme_gap(m: ModelSpec, theta: float, n: int, M: int, master_seed: int,
     return _rms(*path_mean_se(sup2))
 
 
-def _loglog_fit(x: np.ndarray, y: np.ndarray) -> FitResult:
+def _loglog_line(x: np.ndarray, y: np.ndarray):
+    """OLS of log2 y on log2 x: slope, intercept and the slope's standard
+    error, as numpy floats."""
     if len(x) < 3:
         raise FitError(f"need at least 3 points for an order fit, got {len(x)}")
     lx = np.log2(np.asarray(x, dtype=float))
     ly = np.log2(np.asarray(y, dtype=float))
     if lx.max() == lx.min():
         raise FitError("cannot fit an order when all x values are identical")
-    # scipy.stats.linregress and t.ppf, operation for operation (importing
-    # scipy.stats costs about a second)
+    # scipy.stats.linregress, operation for operation (importing scipy.stats
+    # costs about a second)
     ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=True).flat
     if ssxm == 0.0 or ssym == 0.0:
         r = np.float64(np.nan if ssxym == 0 else 0.0)
     else:
         r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
     slope = ssxym / ssxm
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))
+    return slope, np.mean(ly) - slope * np.mean(lx), stderr
+
+
+def _loglog_fit(x: np.ndarray, y: np.ndarray) -> FitResult:
+    """`_loglog_line` with the slope's 95% half-width (scipy's t.ppf)."""
+    slope, intercept, stderr = _loglog_line(x, y)
     df = len(x) - 2
-    stderr = np.sqrt((1 - r**2) * ssym / ssxm / df)
-    return FitResult(slope=float(slope), intercept=float(np.mean(ly) - slope * np.mean(lx)),
-                     half_width=float(stdtrit(df, 0.975) * stderr))
+    if df <= len(_T975):
+        t975 = _T975[df - 1]
+    else:   # only a hand-built curve of more than 64 points gets here
+        from scipy.special import stdtrit
+        t975 = stdtrit(df, 0.975)
+    return FitResult(slope=float(slope), intercept=float(intercept),
+                     half_width=float(t975 * stderr))
 
 
 def _slope_or_none(points) -> float | None:
@@ -205,7 +240,7 @@ def _slope_or_none(points) -> float | None:
     if len({x for x, _ in points}) < 3:
         return None
     x, y = map(np.array, zip(*points))
-    return _loglog_fit(x, y).slope
+    return float(_loglog_line(x, y)[0])
 
 
 def fit_order(curve: ErrorCurve) -> FitResult:
@@ -309,13 +344,16 @@ def increment_scaling(m: ModelSpec, theta: float, n: int, M: int, lag_list,
     per_path = np.zeros((M, len(steps)))
 
     def work(start, stop, inc):
-        res = run_batch(m, cfg, inc)
-        st = res.states
-        for j, s in enumerate(steps):
-            if s == 0:
-                continue
-            diff = st[:, s:] - st[:, :-s]
-            per_path[start:stop, j] = np.mean(np.sum(diff * diff, axis=2), axis=1)
+        states = run_batch(m, cfg, inc).states
+        # one BLOCK at a time, so no lag's differences span the chunk
+        for b in range(0, stop - start, BLOCK):
+            st = states[b:b + BLOCK]
+            for j, s in enumerate(steps):
+                if s == 0:
+                    continue
+                diff = st[:, s:] - st[:, :-s]
+                per_path[start + b:start + b + len(st), j] = np.mean(
+                    np.sum(diff * diff, axis=2), axis=1)
 
     _map_paths(m, n, M, master_seed, threads, work)
 
@@ -376,7 +414,8 @@ def chamber_exit(m: ModelSpec, theta: float, c: float, n_list, M: int,
         cfg = SchemeConfig("truncated", theta, n, c, solver_tol)
 
         def work(start, stop, inc):
-            exited[start:stop] = run_batch(m, cfg, inc).first_violation >= 0
+            # only the exit steps are read, so store no state but the last
+            exited[start:stop] = run_batch(m, cfg, inc, store_stride=n).first_violation >= 0
 
         _map_paths(m, n, M, master_seed, threads, work)
         counts.append(int(exited.sum()))

@@ -478,6 +478,31 @@ def test_import_leaves_scipy_stats_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_runs_leave_scipy_out(tmp_path):
+    # the fits of a convergence run and of a chamber-exit run read the
+    # tabulated t-quantile, so no scipy module is ever loaded
+    conv = _simulate_cfg(tmp_path)
+    conv["experiment"] = {"kind": "convergence"}
+    conv["run"].pop("n")
+    conv["run"].update({"M": 128, "n_list": [8, 16, 32], "n_ref": 64})
+    exit_ = _simulate_cfg(tmp_path)
+    exit_["model"] = {**exit_["model"], "root_system": {"type": "B", "d": 2},
+                      "xi": [0.6, 0.3], "k": [5.0, 5.0]}
+    exit_["scheme"]["variant"] = "truncated"
+    exit_["experiment"] = {"kind": "chamber-exit"}
+    exit_["run"].pop("n")
+    exit_["run"].update({"M": 64, "n_list": [4, 8, 16]})
+    code = ("import sys, dunklsim.cli\n"
+            f"assert dunklsim.cli.main(['run', {_write(tmp_path, conv, 'conv.json')!r}]) == 0\n"
+            f"assert dunklsim.cli.main(['run', {_write(tmp_path, exit_, 'exit.json')!r}]) == 0\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["results"]["decay_slope"] is not None
+
+
 def test_module_entry_point(tmp_path):
     cfg = _write(tmp_path, _simulate_cfg(tmp_path))
     proc = subprocess.run([sys.executable, "-m", "dunklsim.cli", "describe", cfg],

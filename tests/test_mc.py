@@ -72,6 +72,27 @@ def test_loglog_fit_matches_scipy_bitwise(points):
             == np.array([ref.slope, ref.intercept, half], dtype=float).tobytes())
 
 
+def test_t975_table_matches_scipy_bitwise():
+    from scipy.special import stdtrit
+    assert len(mc._T975) == 62
+    for df, q in enumerate(mc._T975, start=1):
+        assert np.float64(q).tobytes() == stdtrit(df, 0.975).tobytes(), df
+
+
+@pytest.mark.parametrize("npts", [64, 65, 100])
+def test_fit_beyond_the_table_matches_scipy_bitwise(npts):
+    # 64 points read the table's last entry; more fall back to scipy
+    from scipy import stats
+    ns = tuple(range(2, npts + 2))
+    errs = tuple(n ** -0.5 * (1.0 + 0.1 * math.sin(n)) for n in ns)
+    fit = fit_order(ErrorCurve(n_values=ns, rms_errors=errs, std_errors=(0.0,) * npts,
+                               M=100, n_ref=2 ** 20, variant="exact"))
+    ref = stats.linregress(np.log2(ns), np.log2(errs))
+    half = stats.t.ppf(0.975, npts - 2) * ref.stderr
+    assert (np.array([fit.slope, fit.intercept, fit.half_width]).tobytes()
+            == np.array([ref.slope, ref.intercept, half], dtype=float).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # strong error curves
 
@@ -199,21 +220,47 @@ def test_chunk_size_does_not_change_results(name, monkeypatch):
     assert sorted(set(sizes)) == [1, BLOCK]
 
 
+def _traced_peak(run) -> int:
+    run()                                                          # warm-up
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_negative_moments_memory_bounded_by_one_chunk():
     # one chunk's increments and states, plus a few BLOCK-sized arrays of
     # pairings: nothing the estimator holds spans the chunk
     m = bessel_model(k=4.0)
     M, n = 4096, 64
-    negative_moments(m, 2.0, 0.25, n, M, 1, pathwise_sup=True)    # warm-up
-    tracemalloc.start()
-    try:
-        negative_moments(m, 2.0, 0.25, n, M, 1, pathwise_sup=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: negative_moments(m, 2.0, 0.25, n, M, 1, pathwise_sup=True))
     chunk = 8 * M * (2 * n + 1)
     block = 8 * BLOCK * (n + 1) * m.rs.n_roots
     assert peak < chunk + 4 * block
+
+
+def test_increment_scaling_memory_bounded_by_one_chunk():
+    # one chunk's increments and states, plus a few BLOCK-sized arrays of
+    # one lag's differences
+    m = bessel_model(k=4.0)
+    M, n = 2048, 128
+    peak = _traced_peak(lambda: increment_scaling(
+        m, 0.25, n, M, [j / 8 for j in range(1, 8)], 1))
+    chunk = 8 * M * (2 * n + 1)
+    block = 8 * BLOCK * (n + 1)
+    assert peak < chunk + 4 * block
+
+
+def test_chamber_exit_memory_bounded_by_increments():
+    # one chunk's increments and final states, plus one step's working
+    # arrays: a few numbers per path and root, whatever n is
+    m = type_b_model(2, k_long=5.0, k_short=5.0, xi=(0.6, 0.3))
+    M, n = 1024, 256
+    peak = _traced_peak(lambda: chamber_exit(m, 0.0, 1.1, [n], M, 1))
+    chunk = 8 * M * (n * m.brownian_dim + 2 * m.dim)
+    assert peak < chunk + 16 * 8 * M * m.rs.n_roots
 
 
 def test_gap_tiny_deep_in_chamber_and_real_near_wall():

@@ -116,6 +116,13 @@ class RootSystem:
         return v
 
     @cached_property
+    def outer(self) -> np.ndarray:
+        """alpha alpha^T per positive root, row-major: shape (n_roots, dim^2)."""
+        o = np.einsum("ri,rj->rij", self.matrix, self.matrix).reshape(self.n_roots, -1)
+        o.flags.writeable = False
+        return o
+
+    @cached_property
     def orbit_of(self) -> np.ndarray:
         """Orbit index for each root, shape (n_roots,)."""
         lab = np.empty(self.n_roots, dtype=int)

@@ -38,8 +38,8 @@ from .coefficients import ZeroDrift
 from .errors import DimensionError, GridError, ParameterError, PathSolverError
 from .model import ModelSpec, _dot, lipschitz_scale, repulsion
 from .roots import RootSystem
-from .stepping import (_certificate, _fixed_point_batch, _newton_batch, _orthogonal_batch,
-                       _twin)
+from .stepping import (_certificate, _failure_text, _fixed_point_batch, _newton_batch,
+                       _orthogonal_batch, _twin)
 
 VARIANTS = ("exact", "truncated")
 
@@ -180,14 +180,13 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
         elif truncated:
             x, iters = _fixed_point_batch(rs, kv, xhat, h, eps, certs[l])
         else:
-            y, iters, res, ok = _newton_batch(rs, kv, xhat, h, cfg.solver_tol)
+            x, iters, res, ok = _newton_batch(rs, kv, xhat, h, cfg.solver_tol)
             if not ok.all():
                 bad_ids = np.nonzero(~ok[:npaths])[0]
                 raise PathSolverError(
-                    f"implicit step failed for {bad_ids.size} path(s) at step {l + 1}",
+                    f"implicit step failed at step {l + 1}: {_failure_text(iters[bad_ids])}",
                     step=l + 1, path_ids=bad_ids.tolist(),
-                    best=y[bad_ids[0]], residual=float(res[bad_ids[0]]))
-            x = y
+                    best=x[bad_ids[0]], residual=float(res[bad_ids[0]]))
         if iter_rec is not None:
             iter_rec[:, l] = iters
         if truncated:

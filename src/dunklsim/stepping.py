@@ -13,10 +13,11 @@ equation of the strictly convex barrier
 so the chamber solution exists and is unique for every xhat in R^d.  The
 exact solver runs damped Newton on grad phi = 0, for at most 200
 iterations (`_NEWTON_CAP`), with a wall-capped line search that
-backtracks on the residual |grad phi| it certifies.  The capped solver
-replaces 1/<alpha,y> by its eps-cap, which makes the map
-y -> xhat + h f_eps(y) a global contraction whenever h < eps^2 / L
-(L = sum k_alpha |alpha|^2).  The geometric error certificate
+backtracks on the residual |grad phi| it certifies (Hessians from the
+cached `RootSystem.outer`); a path whose iterate can no longer move stops
+at once, stalled.  The capped solver replaces 1/<alpha,y> by its eps-cap,
+which makes the map y -> xhat + h f_eps(y) a global contraction whenever
+h < eps^2 / L (L = sum k_alpha |alpha|^2).  The geometric error certificate
 
     |y_star - y_m| <= B0 rho^m,   B0 = eps * sum(k |alpha|) / (L (1 - rho)),
     rho = L h / eps^2,
@@ -130,8 +131,8 @@ def solve_exact_step(rs: RootSystem, k_orbit, xhat, h: float, tol: float = 1e-10
     the step's time).  The residual of the report is
     |y - xhat - h f(y)| <= tol, with f evaluated by `model.repulsion`; y is
     the engine's step for this predictor bitwise.  Raises SolverError
-    (carrying the best iterate) if the tolerance is not certified within
-    200 Newton iterations (`_NEWTON_CAP`).
+    (carrying the best iterate) if Newton stalls or reaches its cap of 200
+    iterations (`_NEWTON_CAP`) before it certifies the tolerance.
     """
     if not h > 0.0:
         raise ParameterError(f"step weight must be positive, got {h}")
@@ -142,7 +143,7 @@ def solve_exact_step(rs: RootSystem, k_orbit, xhat, h: float, tol: float = 1e-10
     y, iters, res, ok = _newton_batch(rs, kv, _twin(xhat[None, :]), h, tol, initial)
     if not ok[0]:
         raise SolverError(
-            f"Newton did not certify residual {tol:g} in {_NEWTON_CAP} iterations",
+            f"Newton did not certify residual {tol:g}: {_failure_text(iters[:1])}",
             best=y[0], residual=float(res[0]), iterations=int(iters[0]))
     return SolveReport(y=y[0], iterations=int(iters[0]), residual=float(res[0]))
 
@@ -198,14 +199,14 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
     """Damped Newton on grad phi(y) = y - xhat - h f(y) = 0 for a batch of
     predictors (m, d), elementwise per path; pass a one-row batch `_twin`ned.
 
-    The Jacobian I + h sum k / <alpha, y>^2 alpha alpha^T is SPD with
-    eigenvalues >= 1, so the Newton step decreases the residual |grad phi|.
-    The wall-capped step is halved (at most 60 times) until the trial is
-    inside with residual <= (1 - _ARMIJO t) times the current one, or rounds
-    to the iterate, which no smaller t can move.  Each path carries its
-    accepted trial's pairings, gradient and residual, so residuals are only
-    evaluated in the line search.  Returns (y, iterations, residuals,
-    converged); a path stops at residual <= tol or after `_NEWTON_CAP`.
+    The Jacobian I + h sum k / <alpha, y>^2 alpha alpha^T (one product with
+    the cached `rs.outer`) is SPD with eigenvalues >= 1, so the Newton step
+    decreases the residual |grad phi|.  The wall-capped step is halved (at
+    most 60 times) until the trial is inside with residual <= (1 - _ARMIJO
+    t) times the current one.  Returns (y, iterations, residuals,
+    converged); a path stops at residual <= tol, after `_NEWTON_CAP`
+    iterations, or stalled when no trial is taken (none passes, or one
+    rounds to the iterate), which every later iteration would repeat.
     """
     a = rs.matrix
     m, d = xhat.shape
@@ -222,48 +223,66 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
         need = p.min(axis=1) < target
         if np.any(need):
             eta = rs.interior_direction
-            s = np.max((target - p[need]) / (a @ eta)[None, :], axis=1)
-            y[need] = y[need] + s[:, None] * eta[None, :]
+            y[need] += np.max((target - p[need]) / (a @ eta), axis=1)[:, None] * eta
     p = y @ a.T
     g = y - xhat - h * repulsion(a, kv, p)
-    res = np.sqrt(np.sum(g * g, axis=1))
-    outer = np.einsum("ri,rj->rij", a, a)  # (n_roots, d, d)
+    res = np.sqrt(_rows(g * g, np.add))
     iters = np.zeros(m, dtype=int)
+    live = res > tol
 
     for _ in range(_NEWTON_CAP):
-        idx = _twin(np.nonzero(res > tol)[0])
-        if idx.size == 0:
+        if not live.any():
             break
-        ya, pa, ga, r = y[idx], p[idx], g[idx], res[idx]
-        hess = np.eye(d)[None] + h * np.einsum("mr,rij->mij", kv / (pa * pa), outer)
+        full = live.all()  # then work on views: no gather, no scatter
+        idx = slice(None) if full else _twin(np.nonzero(live)[0])
+        ya, pa, ga, r, xa = y[idx], p[idx], g[idx], res[idx], xhat[idx]
+        hess = (h * kv / (pa * pa)) @ rs.outer
+        hess[:, ::d + 1] += 1.0
         step = _solve_spd(hess, -ga)
-
         # stay strictly inside: cap at a fraction of the distance to the wall
         adotstep = step @ a.T
-        with np.errstate(divide="ignore"):
-            ratio = np.where(adotstep < 0.0, -pa / adotstep, np.inf)
-        t = np.minimum(1.0, _WALL_FRACTION * ratio.min(axis=1))
-        # a settled row's slots hold its accepted trial; the others still
-        # hold the iterate the next trial starts from
-        settled = np.zeros(idx.size, dtype=bool)
+        ratio = np.where(adotstep < 0.0, pa, np.inf) / np.abs(adotstep)
+        t = np.minimum(1.0, _WALL_FRACTION * _rows(ratio, np.minimum))
+        # settled rows hold their accepted trial; a trial equal to its iterate ends the row
+        settled = np.zeros(t.shape, dtype=bool)
         for _ls in range(60):
             trial = ya + t[:, None] * step
             ptrial = trial @ a.T
-            gtrial = trial - xhat[idx] - h * repulsion(
-                a, kv, np.where(ptrial > 0.0, ptrial, np.inf))
-            rtrial = np.sqrt(np.sum(gtrial * gtrial, axis=1))
-            take = ~settled & (
-                ((ptrial.min(axis=1) > 0.0) & (rtrial <= (1.0 - _ARMIJO * t) * r))
-                | np.all(trial == ya, axis=1))
+            gtrial = trial - xa - h * repulsion(a, kv, np.where(ptrial > 0.0, ptrial, np.inf))
+            rtrial = np.sqrt(_rows(gtrial * gtrial, np.add))
+            done = settled | _rows(trial == ya, np.logical_and)
+            take = ~done & (_rows(ptrial, np.minimum) > 0.0) & (rtrial <= (1.0 - _ARMIJO * t) * r)
+            if take.all():  # every row takes its first trial
+                ya, pa, ga, r, settled = trial, ptrial, gtrial, rtrial, take
+                break
             ya[take], pa[take], ga[take], r[take] = (
                 trial[take], ptrial[take], gtrial[take], rtrial[take])
             settled |= take
-            if settled.all():
+            if (done | take).all():
                 break
-            t = np.where(settled, t, t * 0.5)
-        y[idx], p[idx], g[idx], res[idx] = ya, pa, ga, r
+            t *= 0.5
+        if full:
+            y, p, g, res = ya, pa, ga, r
+        else:
+            y[idx], p[idx], g[idx], res[idx] = ya, pa, ga, r
         iters[idx] += 1  # once per path, also for a twinned row
+        live[idx] = (r > tol) & settled  # an unsettled row has stalled
     return y, iters, res, res <= tol
+
+
+def _failure_text(iters: np.ndarray) -> str:
+    """How unconverged Newton paths stopped: below `_NEWTON_CAP`, stalled."""
+    capped = int(np.count_nonzero(iters >= _NEWTON_CAP))
+    return f"{iters.size - capped} stalled, {capped} hit the cap of {_NEWTON_CAP} iterations"
+
+
+def _rows(u: np.ndarray, op) -> np.ndarray:
+    """Reduce (m, c) over its short axis with the ufunc `op` column by column, several
+    times faster than a row reduction; under 8 columns a sum adds in np.sum's order."""
+    out = u[:, 0].copy()
+    for col in u.T[1:]:
+        op(out, col, out=out)
+    return out
 
 
 def _twin(a: np.ndarray) -> np.ndarray:
@@ -274,19 +293,29 @@ def _twin(a: np.ndarray) -> np.ndarray:
 
 
 def _solve_spd(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve small SPD systems per path; closed forms for d <= 2."""
-    d = hess.shape[-1]
+    """Solve H x = rhs per path for SPD H (m, d^2) with eigenvalues >= 1: closed forms
+    for d <= 2, else Cholesky on (m,) columns, pivots floored at their exact bound 1."""
+    d = rhs.shape[1]
     if d == 1:
-        return rhs / hess[:, 0, 0:1]
+        return rhs / hess
     if d == 2:
-        a, b = hess[:, 0, 0], hess[:, 0, 1]
-        c = hess[:, 1, 1]
-        det = a * c - b * b
-        out = np.empty_like(rhs)
-        out[:, 0] = (c * rhs[:, 0] - b * rhs[:, 1]) / det
-        out[:, 1] = (a * rhs[:, 1] - b * rhs[:, 0]) / det
-        return out
-    return np.linalg.solve(hess, rhs[..., None])[..., 0]
+        a, b, c = hess[:, 0], hess[:, 1], hess[:, 3]
+        return np.stack([c * rhs[:, 0] - b * rhs[:, 1],
+                         a * rhs[:, 1] - b * rhs[:, 0]], axis=1) / (a * c - b * b)[:, None]
+    low, x = {(i, j): hess[:, i * d + j] for i in range(d) for j in range(i + 1)}, list(rhs.T)
+    for j in range(d):  # H = L L^T in place of H's lower triangle, and L z = rhs
+        low[j, j] = np.sqrt(np.maximum(low[j, j], 1.0))
+        x[j] = x[j] / low[j, j]
+        for i in range(j + 1, d):
+            low[i, j] = low[i, j] / low[j, j]
+            x[i] = x[i] - low[i, j] * x[j]
+            for k in range(j + 1, i + 1):
+                low[i, k] = low[i, k] - low[i, j] * low[k, j]
+    for j in reversed(range(d)):  # L^T x = z
+        x[j] = x[j] / low[j, j]
+        for i in range(j):
+            x[i] = x[i] - low[j, i] * x[j]
+    return np.stack(x, axis=1)
 
 
 def _fixed_point_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
@@ -315,12 +344,7 @@ def _fixed_point_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: floa
         sq = y_new - y
         sq *= sq
         np.copyto(y, y_new, where=active[:, None])
-        # summed column by column: a row reduction over the short axis
-        # costs several times more
-        change = sq[:, 0].copy()
-        for col in sq.T[1:]:
-            change += col
-        done = active & (change <= limit)
+        done = active & (_rows(sq, np.add) <= limit)
         if done.any():
             iters[done] = sweep
             active &= ~done

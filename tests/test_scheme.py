@@ -29,6 +29,7 @@ from dunklsim import (
     strong_error,
     type_b_model,
 )
+from dunklsim import stepping
 from dunklsim.brownian import batch_increments
 from dunklsim.coefficients import DiagonalSigma, LinearSigma, ZeroDrift
 from dunklsim.model import ModelSpec
@@ -70,7 +71,7 @@ def test_theta_range_by_variant():
         SchemeConfig(variant="truncated", theta=0.0, n=4, c=1.0)
 
 
-def test_run_batch_solver_failure_names_step_and_paths():
+def test_run_batch_solver_failure_names_step_and_paths(monkeypatch):
     m = dyson_model(3, k=4.0)
     cfg = SchemeConfig(variant="exact", theta=0.0, n=4, solver_tol=1e-300)
     inc = _paths(m, cfg.n, seed=2)
@@ -80,11 +81,23 @@ def test_run_batch_solver_failure_names_step_and_paths():
     # a residual of exactly 0 certifies even tol = 1e-300; every other row
     # fails, and the error must name exactly those rows
     xhat = m.xi_array + inc[:, 0]                      # sigma = 1, no drift, theta = 0
-    _, iters, _, ok = _newton_batch(m.rs, m.k_at(0.25), xhat, 0.25, cfg.solver_tol)
+    kv = m.k_at(0.25)
+    y, iters, res, ok = _newton_batch(m.rs, kv, xhat, 0.25, cfg.solver_tol)
     failed = np.nonzero(~ok)[0]
     assert failed.size and exc.value.path_ids == failed.tolist()
-    assert np.all(iters[failed] == 200)
     assert exc.value.best.shape == (3,)
+    # each failed row stalled before the cap, and a restart from its
+    # iterate stalls at once and moves nothing
+    assert np.all((2 < iters[failed]) & (iters[failed] < stepping._NEWTON_CAP))
+    assert f": {failed.size} stalled, 0 hit the cap" in str(exc.value)
+    y2, iters2, res2, _ = _newton_batch(m.rs, kv, xhat, 0.25, cfg.solver_tol, initial=y)
+    assert y2.tobytes() == y.tobytes() and res2.tobytes() == res.tobytes()
+    assert np.all(iters2[failed] == 1)
+    monkeypatch.setattr(stepping, "_NEWTON_CAP", 2)
+    with pytest.raises(PathSolverError) as capped:
+        run_batch(m, cfg, inc)
+    assert capped.value.path_ids == failed.tolist()
+    assert str(capped.value).endswith(f": 0 stalled, {failed.size} hit the cap of 2 iterations")
 
 
 def test_truncation_level_formula():
@@ -425,6 +438,15 @@ def test_state_dependent_sigma_paths(name, variant):
     assert np.array_equal(run_batch(m, cfg, inc[perm]).states, out.states[perm])
     for i in range(8):
         assert np.array_equal(run_batch(m, cfg, inc[i:i + 1]).states[0], out.states[i])
+
+
+@pytest.mark.parametrize("name", ["A3", "B2"])
+def test_exact_newton_strong_error_decreases(name):
+    # unit additive noise on the Newton path (A(2) runs in closed form);
+    # the slope is printed, not gated: at this size it reads about -0.95
+    curve = strong_error(LINEAR[name](1.0), 0.0, [8, 16, 32, 64], 512, 200, 3)
+    assert all(a > b for a, b in zip(curve.rms_errors, curve.rms_errors[1:]))
+    print(f"{name}: exact strong-error slope {fit_order(curve).slope:.3f}")
 
 
 @pytest.mark.filterwarnings("ignore:moment threshold")

@@ -58,12 +58,28 @@ def test_newton_matches_closed_form_1d(xhat, h, k):
 # ---------------------------------------------------------------------------
 # Newton solver, general dimension
 
-def test_exact_step_failure_reports_newton_cap():
+def test_exact_step_failure_reports_newton_cap(monkeypatch):
+    """No iterate certifies tol = 1e-300.  The A(2) iterate stops moving
+    after 6 iterations, so the 7th reports a stall, well before the cap; a
+    restart from it stalls at once and moves nothing.  Below the stall
+    count the cap stops it."""
+    rs = make_type_a(2)
     with pytest.raises(SolverError) as exc:
-        solve_exact_step(make_type_a(2), [4.0], np.zeros(2), 0.25, tol=1e-300)
-    assert exc.value.iterations == 200
+        solve_exact_step(rs, [4.0], np.zeros(2), 0.25, tol=1e-300)
+    assert exc.value.iterations == 7 < stepping._NEWTON_CAP
+    assert "1 stalled, 0 hit the cap" in str(exc.value)
     assert exc.value.best.shape == (2,)
     assert exc.value.residual > 1e-300
+    with pytest.raises(SolverError) as again:
+        solve_exact_step(rs, [4.0], np.zeros(2), 0.25, tol=1e-300, initial=exc.value.best)
+    assert again.value.iterations == 1
+    assert again.value.best.tobytes() == exc.value.best.tobytes()
+    assert again.value.residual == exc.value.residual
+    monkeypatch.setattr(stepping, "_NEWTON_CAP", 3)
+    with pytest.raises(SolverError) as capped:
+        solve_exact_step(rs, [4.0], np.zeros(2), 0.25, tol=1e-300)
+    assert capped.value.iterations == 3
+    assert "0 stalled, 1 hit the cap of 3 iterations" in str(capped.value)
 
 
 def test_symmetric_two_particle_solution():
@@ -200,6 +216,43 @@ def test_newton_batch_rows_equal_reference_solves(name, h, spread, seed):
         rep = solve_exact_step(rs, k, xhat[i], h)
         assert rep.y.tobytes() == y[i].tobytes()
         assert (rep.iterations, rep.residual) == (iters[i], res[i])
+
+
+@given(st.sampled_from(sorted(NEWTON_SYSTEMS)), st.floats(1e-3, 0.1),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_solve_spd_matches_lapack(name, h, seed):
+    """On Newton's Hessians I + h sum k / <alpha, y>^2 alpha alpha^T at
+    chamber points (condition number below about 5e3 at these wall
+    distances), the in-numpy solve matches LAPACK to a relative 1e-12, and
+    each row's solution is that row solved in a two-row batch, bitwise."""
+    rs, k = NEWTON_SYSTEMS[name]
+    kv = np.asarray(k)[rs.orbit_of]
+    rng = np.random.default_rng(seed)
+    y = sample_chamber_points(rs, 8, rng, wall_lo=1e-2, wall_hi=5.0)
+    w = h * kv / rs.pairings(y) ** 2
+    hess = np.eye(rs.dim) + np.einsum("mr,ri,rj->mij", w, rs.matrix, rs.matrix)
+    rhs = rng.normal(size=y.shape)
+    x = stepping._solve_spd(hess.reshape(8, -1), rhs)
+    ref = np.linalg.solve(hess, rhs[..., None])[..., 0]
+    assert np.all(np.linalg.norm(x - ref, axis=1) <= 1e-12 * np.linalg.norm(ref, axis=1))
+    for i in range(8):
+        two = stepping._solve_spd(hess[[i, i]].reshape(2, -1), rhs[[i, i]])
+        assert two[0].tobytes() == x[i].tobytes()
+
+
+def test_newton_batch_runs_without_lapack_solve(monkeypatch):
+    """The Newton step is solved in numpy: with np.linalg.solve disabled,
+    batches on A(3), A(5) and B(3) still certify."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for name in ("A3", "A5", "B3"):
+        rs, k = NEWTON_SYSTEMS[name]
+        kv = np.asarray(k)[rs.orbit_of]
+        y, iters, res, ok = _newton_batch(rs, kv, _predictors(rs, 16, 5, 0.5), 0.05, 1e-10)
+        assert ok.all() and iters.min() >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .mc import (RATE_THRESHOLD, _chunk_size, chamber_exit, cir_mean_check, fit_
                  increment_scaling, negative_moments, strong_error)
 from .model import _noise_lattice, lipschitz_scale, moment_threshold, validate_assumptions
 from .roots import validate_axioms
-from .scheme import _closed_form_ok, fixed_point_cap, run_batch, truncation_level
+from .scheme import _closed_form_ok, capped_step_bound, run_batch, truncation_level
 
 
 def _jsonable(o):
@@ -292,7 +292,7 @@ def cmd_describe(args) -> int:
             cfg_n = s.resolve(n)
             line += (f", cap level = {truncation_level(m, cfg_n):.17g}, "
                      + ("closed-form step" if _closed_form_ok(m.rs)
-                        else f"fixed-point cap m* = {fixed_point_cap(m, cfg_n)}"))
+                        else f"certified step error <= {capped_step_bound(m, cfg_n):.3e}"))
         print(line)
 
     need = RATE_THRESHOLD[s.variant]

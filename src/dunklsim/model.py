@@ -115,7 +115,7 @@ class ModelSpec:
 
 def lipschitz_scale(m: ModelSpec) -> float:
     """sum_alpha sup_t k(t,alpha) |alpha|^2, the scale in the cap rule and
-    in the contraction constant of the capped fixed-point step."""
+    in the contraction constant of the capped step."""
     return float(np.sum(m.k_sup * m.rs.norms_sq))
 
 

@@ -14,7 +14,8 @@ first violation is recorded rather than raised).  Both f and its capped
 form are `model.repulsion`, shared with the step solvers and the audit.
 When the positive roots are mutually orthogonal (d=1, A(2), B(1) and
 their direct sums) the engine solves either step in closed form and
-records 0 solver iterations; otherwise it iterates.
+records 0 solver iterations; otherwise `stepping._newton_batch` solves
+it, the capped step to the error its certificate allows.
 
 `run_batch` is the only way to simulate: it advances a batch of paths in
 lockstep from their increments (`brownian.batch_increments`), and a
@@ -38,8 +39,7 @@ from .coefficients import ZeroDrift
 from .errors import DimensionError, GridError, ParameterError, PathSolverError
 from .model import ModelSpec, _dot, lipschitz_scale, repulsion
 from .roots import RootSystem
-from .stepping import (_certificate, _failure_text, _fixed_point_batch, _newton_batch,
-                       _orthogonal_batch, _twin)
+from .stepping import _certificate, _failure_text, _newton_batch, _orthogonal_batch, _twin
 
 VARIANTS = ("exact", "truncated")
 
@@ -90,21 +90,22 @@ def truncation_level(m: ModelSpec, cfg: SchemeConfig) -> float:
     return cfg.c * math.sqrt(lipschitz_scale(m) * m.T / cfg.n)
 
 
-def fixed_point_cap(m: ModelSpec, cfg: SchemeConfig) -> int:
-    """Largest a priori count m* of the capped step over the grid's step
-    times: no truncated step of the run sweeps more often."""
-    return max(c[0] for c in _step_certificates(m, cfg, TimeGrid(cfg.n, m.T)))
+def capped_step_bound(m: ModelSpec, cfg: SchemeConfig) -> float:
+    """Largest certified error B0 rho^{m*} of a capped step over the grid's
+    step times: every truncated step of the run lies this close to its
+    exact solution or closer."""
+    return max(_step_bounds(m, cfg, TimeGrid(cfg.n, m.T)))
 
 
-def _step_certificates(m: ModelSpec, cfg: SchemeConfig,
-                       grid: TimeGrid) -> list[tuple[int, float, float]]:
-    """The capped step's certificate (m*, rho, B0) at each step of the grid,
-    computed once per distinct row of strengths."""
+def _step_bounds(m: ModelSpec, cfg: SchemeConfig, grid: TimeGrid) -> list[float]:
+    """The capped step's certified error B0 rho^{m*} at each step of the
+    grid, from one certificate per distinct row of strengths."""
     h = (1.0 - cfg.theta) * grid.dt
     eps = truncation_level(m, cfg)
     rows, inverse = np.unique(m.k_at(grid.times[1:]), axis=0, return_inverse=True)
-    certs = [_certificate(m.rs, kv, h, eps, cfg.solver_tol) for kv in rows]
-    return [certs[i] for i in inverse.ravel()]
+    bounds = [b0 * rho ** m_star for m_star, rho, b0 in
+              (_certificate(m.rs, kv, h, eps, cfg.solver_tol) for kv in rows)]
+    return [bounds[i] for i in inverse.ravel()]
 
 
 def _closed_form_ok(rs: RootSystem) -> bool:
@@ -161,7 +162,9 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     eps = truncation_level(m, cfg) if truncated else None
     h = (1.0 - cfg.theta) * grid.dt
     closed_form = _closed_form_ok(rs)
-    certs = _step_certificates(m, cfg, grid) if truncated and not closed_form else None
+    # the capped step stops at the residual its certificate allows
+    tols = (_step_bounds(m, cfg, grid) if truncated and not closed_form
+            else [cfg.solver_tol] * cfg.n)
 
     if cfg.n % store_stride != 0:
         raise GridError(f"store stride {store_stride} does not divide n={cfg.n}")
@@ -177,10 +180,8 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
         kv = kvg[l + 1]
         if closed_form:
             x, iters = _orthogonal_batch(rs, kv, xhat, h, eps), 0
-        elif truncated:
-            x, iters = _fixed_point_batch(rs, kv, xhat, h, eps, certs[l])
         else:
-            x, iters, res, ok = _newton_batch(rs, kv, xhat, h, cfg.solver_tol)
+            x, iters, res, ok = _newton_batch(rs, kv, xhat, h, tols[l], eps=eps)
             if not ok.all():
                 bad_ids = np.nonzero(~ok[:npaths])[0]
                 raise PathSolverError(

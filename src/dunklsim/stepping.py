@@ -2,39 +2,43 @@
 
 One scheme step must solve, for a given predictor `xhat` and weight h > 0,
 
-    y = xhat + h * sum_alpha k_alpha / <alpha, y> alpha,     y in W.
+    y = xhat + h * sum_alpha k_alpha / <alpha, y> alpha,     y in W,
 
-The sum is `model.repulsion` (f, or its capped form f_eps); every
-residual and iterate below evaluates it there.  The step is the gradient
-equation of the strictly convex barrier
+or, in the truncated variant, the same equation with every pairing capped
+below at eps (f_eps, defined on all of R^d).  The sum is `model.repulsion`;
+every residual and iterate below evaluates it there.  Either step is the
+gradient equation g(y) = grad phi(y) = 0 of
 
-    phi(y) = |y - xhat|^2 / 2 - h * sum_alpha k_alpha log <alpha, y>,
+    phi(y) = |y - xhat|^2 / 2 - h * sum_alpha k_alpha psi(<alpha, y>),
 
-so the chamber solution exists and is unique for every xhat in R^d.  The
-exact solver runs damped Newton on grad phi = 0, for at most 200
-iterations (`_NEWTON_CAP`), with a wall-capped line search that
-backtracks on the residual |grad phi| it certifies (Hessians from the
-cached `RootSystem.outer`); a path whose iterate can no longer move stops
-at once, stalled.  The capped solver replaces 1/<alpha,y> by its eps-cap,
-which makes the map y -> xhat + h f_eps(y) a global contraction whenever
-h < eps^2 / L (L = sum k_alpha |alpha|^2).  The geometric error certificate
+with psi = log for the exact step and psi_eps (log above eps, its tangent
+line below) for the capped one.  psi is concave, so phi is 1-strongly
+convex: y_star exists, is unique, and |y - y_star| <= |g(y)| for every y,
+so the residual certifies the error itself.  One kernel, `_newton_batch`,
+runs semismooth Newton (Qi & Sun, Math. Prog. 1993) on g = 0 for both
+steps, for at most 200 iterations (`_NEWTON_CAP`), with a line search that
+backtracks on the residual |g| it certifies (Hessians from the cached
+`RootSystem.outer`, weights h k / <alpha, y>^2, and 0 where a pairing is
+on the cap); a path whose iterate can no longer move stops at once,
+stalled.  The exact step starts inside the chamber and caps each step at a
+fraction of the way to a wall, so every iterate stays strictly inside.
+The capped step starts from two explicit sweeps y <- xhat + h f_eps(y) and
+stops at the residual B0 rho^{m*} <= tol of the contraction certificate
 
     |y_star - y_m| <= B0 rho^m,   B0 = eps * sum(k |alpha|) / (L (1 - rho)),
-    rho = L h / eps^2,
+    rho = L h / eps^2 < 1,   L = sum k_alpha |alpha|^2,
 
-fixes a priori the count m* with B0 rho^{m*} <= tol.  m* is only the
-cap: each path stops at the first sweep m whose a posteriori bound
-rho / (1 - rho) |y_m - y_{m-1}| is at most B0 rho^{m*}, which certifies
-the same error bound, usually after far fewer sweeps.  When the positive
+whose count m* (smallest m with B0 rho^m <= tol) is the number of
+fixed-point sweeps that would certify the same error.  When the positive
 roots are mutually orthogonal, either step splits into one scalar
 quadratic per root, which `_orthogonal_batch` solves in closed form.
 
 The public solvers take one predictor and serve as the reference for the
-batched cores below, which advance a whole batch of predictors in
-lockstep for `scheme.run_batch`; every per-path update is elementwise,
-so a path's step does not depend on the other paths of a multi-row
-batch.  Newton lists a lone active row twice, and the reference its one
-predictor, so its matrix products always go through gemm.
+batched kernel, which advances a whole batch of predictors in lockstep
+for `scheme.run_batch`; every per-path update is elementwise, so a path's
+step does not depend on the other paths of a multi-row batch.  Neither the
+kernel nor the reference ever multiplies a lone row (a lone row is listed
+twice), so the matrix products always go through gemm.
 """
 from __future__ import annotations
 
@@ -48,10 +52,10 @@ from .model import _dot, repulsion
 from .roots import RootSystem
 
 # Newton's line search: a trial at step t must cut the residual by the
-# factor 1 - _ARMIJO t and cover at most _WALL_FRACTION of the way to a wall.
+# factor 1 - _ARMIJO t, and an exact step covers at most _WALL_FRACTION of
+# the way to a wall.
 _ARMIJO = 1e-4
 _WALL_FRACTION = 0.95
-_FIXED_POINT_CAP = 200_000
 _NEWTON_CAP = 200
 
 
@@ -136,11 +140,16 @@ def solve_exact_step(rs: RootSystem, k_orbit, xhat, h: float, tol: float = 1e-10
     """
     if not h > 0.0:
         raise ParameterError(f"step weight must be positive, got {h}")
-    kv = _per_root_k(rs, k_orbit)
+    return _reference(rs, _per_root_k(rs, k_orbit), xhat, h, tol, initial)
+
+
+def _reference(rs: RootSystem, kv: np.ndarray, xhat, h: float, tol: float,
+               initial=None, eps: float | None = None) -> SolveReport:
+    """One predictor (d,) through the batch kernel, `_twin`ned; raises SolverError unless certified."""
     xhat = np.asarray(xhat, dtype=float)
     if xhat.shape != (rs.dim,):
         raise DimensionError(f"predictor shape {xhat.shape} != ({rs.dim},)")
-    y, iters, res, ok = _newton_batch(rs, kv, _twin(xhat[None, :]), h, tol, initial)
+    y, iters, res, ok = _newton_batch(rs, kv, _twin(xhat[None, :]), h, tol, initial, eps)
     if not ok[0]:
         raise SolverError(
             f"Newton did not certify residual {tol:g}: {_failure_text(iters[:1])}",
@@ -150,23 +159,18 @@ def solve_exact_step(rs: RootSystem, k_orbit, xhat, h: float, tol: float = 1e-10
 
 def solve_truncated_step(rs: RootSystem, k_orbit, xhat, h: float, eps: float,
                          tol: float = 1e-10) -> SolveReport:
-    """Solve the capped step by certified fixed-point iteration.
+    """Solve the capped step by semismooth Newton, certified.
 
-    Requires h < eps^2 / L strictly (L = sum k |alpha|^2), which makes the
-    iteration a contraction with factor rho = L h / eps^2.  The a priori
-    count m* (smallest m with B0 rho^m <= tol, `fixed_point_certificate`)
-    is the cap; the iteration stops at the first sweep m with
-    rho / (1 - rho) |y_m - y_{m-1}| <= B0 rho^{m*}, so |y - y_star| <=
-    B0 rho^{m*} <= tol either way.  The report's `iterations` is that m.
+    Requires h < eps^2 / L strictly (L = sum k |alpha|^2), so that the
+    step's contraction factor is rho = L h / eps^2 < 1.  Newton stops at
+    residual |y - xhat - h f_eps(y)| <= B0 rho^{m*} (`fixed_point_certificate`),
+    which bounds |y - y_star| by the same B0 rho^{m*} <= tol; y is the
+    engine's step for this predictor bitwise.  Raises SolverError as
+    `solve_exact_step` does.
     """
     kv = _per_root_k(rs, k_orbit)
-    xhat = np.asarray(xhat, dtype=float)
-    if xhat.shape != (rs.dim,):
-        raise DimensionError(f"predictor shape {xhat.shape} != ({rs.dim},)")
-    y, iters = _fixed_point_batch(rs, kv, xhat[None, :], h, eps,
-                                  _certificate(rs, kv, h, eps, tol))
-    return SolveReport(y=y[0], iterations=int(iters[0]),
-                       residual=step_residual(rs, k_orbit, xhat, h, y[0], eps))
+    m_star, rho, b0 = _certificate(rs, kv, h, eps, tol)
+    return _reference(rs, kv, xhat, h, b0 * rho ** m_star, eps=eps)
 
 
 def step_residual(rs: RootSystem, k_orbit, xhat, h: float, y, eps: float | None = None) -> float:
@@ -185,28 +189,32 @@ def step_residual(rs: RootSystem, k_orbit, xhat, h: float, y, eps: float | None 
 
 def fixed_point_certificate(rs: RootSystem, k_orbit, h: float, eps: float,
                             tol: float) -> tuple[int, float, float]:
-    """Iteration cap m*, contraction factor rho and initial bound B0 of the
-    capped solver: m* is the smallest m with B0 * rho^m <= tol."""
+    """Sweep count m*, contraction factor rho and initial bound B0 of the
+    capped step: m* is the smallest m with B0 * rho^m <= tol, and the capped
+    solver certifies |y - y_star| <= B0 rho^{m*}."""
     return _certificate(rs, _per_root_k(rs, k_orbit), h, eps, tol)
 
 
 # ---------------------------------------------------------------------------
-# batched cores
+# batched kernel
 
 
 def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
-                  tol: float, initial: np.ndarray | None = None):
-    """Damped Newton on grad phi(y) = y - xhat - h f(y) = 0 for a batch of
-    predictors (m, d), elementwise per path; pass a one-row batch `_twin`ned.
+                  tol: float, initial: np.ndarray | None = None, eps: float | None = None):
+    """Damped semismooth Newton on g(y) = y - xhat - h f(y) = 0 (f_eps when
+    `eps` is set) for a batch of predictors (m, d), elementwise per path;
+    pass a one-row batch `_twin`ned.
 
-    The Jacobian I + h sum k / <alpha, y>^2 alpha alpha^T (one product with
-    the cached `rs.outer`) is SPD with eigenvalues >= 1, so the Newton step
-    decreases the residual |grad phi|.  The wall-capped step is halved (at
-    most 60 times) until the trial is inside with residual <= (1 - _ARMIJO
-    t) times the current one.  Returns (y, iterations, residuals,
-    converged); a path stops at residual <= tol, after `_NEWTON_CAP`
-    iterations, or stalled when no trial is taken (none passes, or one
-    rounds to the iterate), which every later iteration would repeat.
+    The (generalized) Jacobian I + h sum k / <alpha, y>^2 alpha alpha^T,
+    with weight 0 on a capped pairing (one product with the cached
+    `rs.outer`), is SPD with eigenvalues >= 1, so the Newton step
+    decreases the residual |g|.  The step, capped for the exact equation
+    at a fraction of the way to the wall, is halved (at most 60 times)
+    until the trial is inside (exact) with residual <= (1 - _ARMIJO t)
+    times the current one.  Returns (y, iterations, residuals, converged);
+    a path stops at residual <= tol, after `_NEWTON_CAP` iterations, or
+    stalled when no trial is taken (none passes, or one rounds to the
+    iterate), which every later iteration would repeat.
     """
     a = rs.matrix
     m, d = xhat.shape
@@ -214,6 +222,11 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
         y = np.broadcast_to(np.asarray(initial, dtype=float), xhat.shape).copy()
         if np.any((y @ a.T).min(axis=1) <= 0.0):
             raise ChamberError("initial iterate must be strictly inside the chamber")
+    elif eps is not None:
+        # two explicit sweeps (f_eps needs no chamber) each cut the error by rho,
+        # by far more away from the walls, so one Newton iteration certifies most rows
+        y = xhat + h * repulsion(a, kv, xhat @ a.T, eps)
+        y = xhat + h * repulsion(a, kv, y @ a.T, eps)
     else:
         # start from the predictor, pushed along the interior direction
         # until the smallest pairing reaches the step's natural scale
@@ -225,33 +238,47 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
             eta = rs.interior_direction
             y[need] += np.max((target - p[need]) / (a @ eta), axis=1)[:, None] * eta
     p = y @ a.T
-    g = y - xhat - h * repulsion(a, kv, p)
+    g = y - xhat - h * repulsion(a, kv, p, eps)
     res = np.sqrt(_rows(g * g, np.add))
     iters = np.zeros(m, dtype=int)
     live = res > tol
 
     for _ in range(_NEWTON_CAP):
-        if not live.any():
+        count = int(np.count_nonzero(live))
+        if not count:
             break
-        full = live.all()  # then work on views: no gather, no scatter
-        idx = slice(None) if full else _twin(np.nonzero(live)[0])
+        full = count == m  # then work on views: no gather, no scatter
+        # else gather the live rows repeated up to a power of two (at least 2, so a lone
+        # row is twinned): few distinct sizes keep small buffers from fragmenting the heap
+        idx = slice(None) if full else np.resize(
+            np.flatnonzero(live), min(m, max(2, 1 << (count - 1).bit_length())))
         ya, pa, ga, r, xa = y[idx], p[idx], g[idx], res[idx], xhat[idx]
-        hess = (h * kv / (pa * pa)) @ rs.outer
+        w = h * kv / (pa * pa)
+        if eps is not None:
+            w[pa <= eps] = 0.0
+        hess = w @ rs.outer
         hess[:, ::d + 1] += 1.0
         step = _solve_spd(hess, -ga)
-        # stay strictly inside: cap at a fraction of the distance to the wall
-        adotstep = step @ a.T
-        ratio = np.where(adotstep < 0.0, pa, np.inf) / np.abs(adotstep)
-        t = np.minimum(1.0, _WALL_FRACTION * _rows(ratio, np.minimum))
+        if eps is None:  # stay strictly inside: cap at a fraction of the distance to the wall
+            adotstep = step @ a.T
+            ratio = np.where(adotstep < 0.0, pa, np.inf) / np.abs(adotstep)
+            t = np.minimum(1.0, _WALL_FRACTION * _rows(ratio, np.minimum))
+        else:  # f_eps has no wall: one t for every row
+            t = 1.0
         # settled rows hold their accepted trial; a trial equal to its iterate ends the row
-        settled = np.zeros(t.shape, dtype=bool)
+        settled = np.zeros(ya.shape[0], dtype=bool)
         for _ls in range(60):
-            trial = ya + t[:, None] * step
+            trial = ya + (t[:, None] if eps is None else t) * step
             ptrial = trial @ a.T
-            gtrial = trial - xa - h * repulsion(a, kv, np.where(ptrial > 0.0, ptrial, np.inf))
+            if eps is None:
+                inside = _rows(ptrial, np.minimum) > 0.0
+                gtrial = trial - xa - h * repulsion(a, kv, np.where(ptrial > 0.0, ptrial, np.inf))
+            else:
+                inside = True
+                gtrial = trial - xa - h * repulsion(a, kv, ptrial, eps)
             rtrial = np.sqrt(_rows(gtrial * gtrial, np.add))
             done = settled | _rows(trial == ya, np.logical_and)
-            take = ~done & (_rows(ptrial, np.minimum) > 0.0) & (rtrial <= (1.0 - _ARMIJO * t) * r)
+            take = ~done & inside & (rtrial <= (1.0 - _ARMIJO * t) * r)
             if take.all():  # every row takes its first trial
                 ya, pa, ga, r, settled = trial, ptrial, gtrial, rtrial, take
                 break
@@ -265,7 +292,7 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
             y, p, g, res = ya, pa, ga, r
         else:
             y[idx], p[idx], g[idx], res[idx] = ya, pa, ga, r
-        iters[idx] += 1  # once per path, also for a twinned row
+        iters[idx] += 1  # once per path, also for a repeated row
         live[idx] = (r > tol) & settled  # an unsettled row has stalled
     return y, iters, res, res <= tol
 
@@ -278,7 +305,10 @@ def _failure_text(iters: np.ndarray) -> str:
 
 def _rows(u: np.ndarray, op) -> np.ndarray:
     """Reduce (m, c) over its short axis with the ufunc `op` column by column, several
-    times faster than a row reduction; under 8 columns a sum adds in np.sum's order."""
+    times faster than a row reduction.  A sum adds in np.sum's order: that is column
+    by column under 8 columns only, so from 8 on it is np.add.reduce itself."""
+    if op is np.add and u.shape[1] >= 8:
+        return op.reduce(u, axis=1)
     out = u[:, 0].copy()
     for col in u.T[1:]:
         op(out, col, out=out)
@@ -298,10 +328,11 @@ def _solve_spd(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     d = rhs.shape[1]
     if d == 1:
         return rhs / hess
-    if d == 2:
-        a, b, c = hess[:, 0], hess[:, 1], hess[:, 3]
-        return np.stack([c * rhs[:, 0] - b * rhs[:, 1],
-                         a * rhs[:, 1] - b * rhs[:, 0]], axis=1) / (a * c - b * b)[:, None]
+    if d == 2:  # (c r0 - b r1, a r1 - b r0) / (a c - b^2) for H = [[a, b], [b, c]]
+        x = hess[:, 3::-3] * rhs
+        x -= hess[:, 1:2] * rhs[:, ::-1]
+        x /= (hess[:, 0] * hess[:, 3] - hess[:, 1] * hess[:, 1])[:, None]
+        return x
     low, x = {(i, j): hess[:, i * d + j] for i in range(d) for j in range(i + 1)}, list(rhs.T)
     for j in range(d):  # H = L L^T in place of H's lower triangle, and L z = rhs
         low[j, j] = np.sqrt(np.maximum(low[j, j], 1.0))
@@ -318,41 +349,6 @@ def _solve_spd(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.stack(x, axis=1)
 
 
-def _fixed_point_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
-                       eps: float, certificate: tuple[int, float, float]):
-    """Capped fixed-point iteration for a batch of predictors (m, d) under
-    the step's `_certificate` (m*, rho, B0).
-
-    Each path stops at the first sweep m whose Banach a posteriori bound
-    rho / (1 - rho) |y_m - y_{m-1}| is at most B0 rho^{m*}, the bound the
-    a priori count m* certifies; m* is the cap.  Every returned y is thus
-    within B0 rho^{m*} of its fixed point.  Each sweep evaluates the whole
-    batch and a mask freezes the finished paths, so a path's result
-    depends only on its own iterates (gathering the active rows would
-    send a one-row product through another summation order).
-    Returns (y, iterations per path).
-    """
-    m_star, rho, b0 = certificate
-    a = rs.matrix
-    # the stopping test squared: |y_m - y_{m-1}|^2 <= ((1 - rho) / rho * B0 rho^{m*})^2
-    limit = ((1.0 - rho) / rho * b0 * rho ** m_star) ** 2
-    y = xhat.copy()
-    iters = np.full(xhat.shape[0], m_star)
-    active = np.ones(xhat.shape[0], dtype=bool)
-    for sweep in range(1, m_star + 1):
-        y_new = xhat + h * repulsion(a, kv, y @ a.T, eps)
-        sq = y_new - y
-        sq *= sq
-        np.copyto(y, y_new, where=active[:, None])
-        done = active & (_rows(sq, np.add) <= limit)
-        if done.any():
-            iters[done] = sweep
-            active &= ~done
-            if not active.any():
-                break
-    return y, iters
-
-
 def _certificate(rs: RootSystem, kv: np.ndarray, h: float, eps: float,
                  tol: float) -> tuple[int, float, float]:
     if not eps > 0.0:
@@ -367,9 +363,4 @@ def _certificate(rs: RootSystem, kv: np.ndarray, h: float, eps: float,
     b0 = eps * float(np.sum(kv * np.sqrt(rs.norms_sq))) / (scale * (1.0 - rho))
     if b0 <= tol:
         return 0, rho, b0
-    m = int(math.ceil(math.log(tol / b0) / math.log(rho)))
-    if m > _FIXED_POINT_CAP:
-        raise SolverError(
-            f"certificate needs {m} iterations (> {_FIXED_POINT_CAP}); "
-            "loosen tol or the contraction factor")
-    return max(m, 0), rho, b0
+    return max(int(math.ceil(math.log(tol / b0) / math.log(rho))), 0), rho, b0

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import dunklsim.cli as cli
 import dunklsim.mc as mc
-from dunklsim import fixed_point_certificate, run_batch
+from dunklsim import fixed_point_certificate, run_batch, stepping
 from dunklsim.brownian import batch_increments
 from dunklsim.cli import main
 from dunklsim.coefficients import LinearSigma
@@ -68,8 +68,8 @@ def test_describe_reports_scales(tmp_path, capsys):
     assert "warning" in out                            # threshold 1 model
 
 
-def test_describe_prints_fixed_point_cap(tmp_path, capsys):
-    # k peaks mid-run, so the largest a priori count sits at neither end
+def test_describe_prints_capped_step_bound(tmp_path, capsys):
+    # k peaks mid-run, so the largest certified error sits at neither end
     doc = _simulate_cfg(tmp_path)
     doc["model"]["root_system"] = {"type": "A", "d": 3}
     doc["model"]["xi"] = [1.0, 0.0, -1.0]
@@ -84,13 +84,15 @@ def test_describe_prints_fixed_point_cap(tmp_path, capsys):
     m, scheme = cfg.model, cfg.scheme.resolve(10)
     h = 0.75 * 0.1
     eps = truncation_level(m, scheme)
-    counts = [fixed_point_certificate(m.rs, [fn(t) for fn in m.k], h, eps, 1e-10)[0]
-              for t in np.arange(1, 11) * 0.1]
-    assert max(counts) > max(counts[0], counts[-1])
-    assert f"cap level = {eps:.17g}, fixed-point cap m* = {max(counts)}\n" in out
+    bounds = [b0 * rho ** m_star for m_star, rho, b0 in
+              (fixed_point_certificate(m.rs, [fn(t) for fn in m.k], h, eps, 1e-10)
+               for t in np.arange(1, 11) * 0.1)]
+    assert max(bounds) > max(bounds[0], bounds[-1])
+    assert max(bounds) <= 1e-10
+    assert f"cap level = {eps:.17g}, certified step error <= {max(bounds):.3e}\n" in out
     inc = batch_increments(m.brownian_dim, 10, m.T, 5, np.arange(16))
     iters = run_batch(m, scheme, inc, record_iterations=True).iterations
-    assert 1 <= iters.min() and iters.max() <= max(counts)
+    assert 0 <= iters.min() and 1 <= iters.max() < stepping._NEWTON_CAP
 
 
 def test_describe_names_closed_form_step(tmp_path, capsys):
@@ -104,7 +106,7 @@ def test_describe_names_closed_form_step(tmp_path, capsys):
     cfg = load_config(path)
     eps = truncation_level(cfg.model, cfg.scheme.resolve(10))
     assert f"cap level = {eps:.17g}, closed-form step\n" in out
-    assert "fixed-point cap" not in out
+    assert "certified step error" not in out
 
 
 def test_describe_quiet_when_guarantee_holds(tmp_path, capsys):
@@ -458,6 +460,25 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert calls == [2, 2, 1]
     assert not (out_dir / "paths.csv.tmp").exists()
     assert {f: (out_dir / f).read_bytes() for f in before} == before
+
+
+def test_capped_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    """A truncated B(2) run whose capped step cannot certify in one Newton
+    iteration exits 3 and names the step and the paths."""
+    doc = _simulate_cfg(tmp_path)
+    doc["model"]["root_system"] = {"type": "B", "d": 2}
+    doc["model"]["xi"] = [0.6, 0.3]
+    doc["model"]["k"] = [5.0, 5.0]
+    doc["scheme"] = {"variant": "truncated", "theta": 0.0, "c": 1.1}
+    doc["run"].update({"M": 16, "n": 8})
+    path = _write(tmp_path, doc)
+    assert main(["run", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(stepping, "_NEWTON_CAP", 1)
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "implicit step failed at step" in err
+    assert "hit the cap of 1 iterations" in err
 
 
 def test_run_validate_kind_fails_redly(tmp_path):

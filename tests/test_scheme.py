@@ -100,6 +100,43 @@ def test_run_batch_solver_failure_names_step_and_paths(monkeypatch):
     assert str(capped.value).endswith(f": 0 stalled, {failed.size} hit the cap of 2 iterations")
 
 
+def test_capped_step_failure_names_step_and_paths(monkeypatch):
+    """With one Newton iteration allowed, the capped B(2) step fails on the
+    rows that need a second one, and the error names the first step where
+    that happens and exactly those rows."""
+    m = type_b_model(2, k_long=5.0, k_short=5.0, xi=(0.6, 0.3))
+    cfg = SchemeConfig(variant="truncated", theta=0.0, n=8)
+    inc = _paths(m, cfg.n, seed=4, count=32)
+    out = run_batch(m, cfg, inc, record_iterations=True)
+    over = out.iterations > 1
+    step = int(np.nonzero(over.any(axis=0))[0][0])
+    monkeypatch.setattr(stepping, "_NEWTON_CAP", 1)
+    with pytest.raises(PathSolverError) as exc:
+        run_batch(m, cfg, inc)
+    assert exc.value.step == step + 1
+    assert exc.value.path_ids == np.nonzero(over[:, step])[0].tolist()
+    assert "hit the cap of 1 iterations" in str(exc.value)
+    assert exc.value.best.shape == (2,) and exc.value.residual > 0.0
+
+
+def test_truncated_step_equals_reference_bitwise():
+    """Each capped B(2) step of a run is `solve_truncated_step` on the same
+    predictor, bitwise, with the same Newton iteration count."""
+    m = type_b_model(2, k_long=5.0, k_short=5.0, xi=(0.6, 0.3))
+    cfg = SchemeConfig(variant="truncated", theta=0.0, n=16)
+    inc = _paths(m, cfg.n, seed=5, count=6)
+    out = run_batch(m, cfg, inc, record_iterations=True)
+    h, eps = m.T / cfg.n, truncation_level(m, cfg)
+    k_orbit = [fn(0.0) for fn in m.k]
+    assert (out.first_violation > 0).any() and out.iterations.max() > 1
+    for l in range(cfg.n):
+        for i in range(inc.shape[0]):
+            xhat = out.states[i, l] + inc[i, l]          # sigma = 1, no drift, theta = 0
+            ref = solve_truncated_step(m.rs, k_orbit, xhat, h, eps, cfg.solver_tol)
+            assert ref.y.tobytes() == out.states[i, l + 1].tobytes()
+            assert ref.iterations == out.iterations[i, l]
+
+
 def test_truncation_level_formula():
     # c * sqrt(L*T/n) with L = 6 for three unit-strength A(3) pairs
     m = dyson_model(3, k=1.0)

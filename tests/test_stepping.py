@@ -1,4 +1,5 @@
-"""Implicit step solvers: closed form, damped Newton, capped fixed point."""
+"""Implicit step solvers: closed form, and one damped Newton kernel for the
+exact and the capped step."""
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from dunklsim import (
 from dunklsim import stepping
 from dunklsim.model import repulsion
 from dunklsim.roots import min_pairing
-from dunklsim.stepping import _fixed_point_batch, _newton_batch, step_residual
+from dunklsim.stepping import _newton_batch, step_residual
 
 D1 = RootSystem(dim=1, positive_roots=((1.0,),), orbits=((0,),))
 
@@ -151,6 +152,9 @@ NEWTON_SYSTEMS = {
     "B4": (make_type_b(4), [1.0, 2.0]),
     "A3+B2": (direct_sum(make_type_a(3), make_type_b(2)), [2.0, 1.5, 0.7]),
 }
+# d = 8: the residual's sum of squares runs over 8 columns
+A3_B2_A3 = (direct_sum(direct_sum(make_type_a(3), make_type_b(2)), make_type_a(3)),
+            [2.0, 1.5, 0.7, 1.0])
 
 
 def _fresh_residual(rs, kv, xhat, h, y):
@@ -170,19 +174,20 @@ def _predictors(rs, count, seed, spread):
 @pytest.mark.parametrize("cap", [None, 1, 2])
 def test_newton_batch_returns_residual_of_its_iterate(monkeypatch, cap):
     """The residual the kernel reports is that of the y it returns, bitwise,
-    whether a row converged early, late, or was stopped by the cap."""
+    whether a row converged early, late, or was stopped by the cap; also at
+    d = 8, where the residual sums 8 columns."""
     if cap is not None:
         monkeypatch.setattr(stepping, "_NEWTON_CAP", cap)
-    rs, k = NEWTON_SYSTEMS["A3"]
-    kv = np.asarray(k)[rs.orbit_of]
-    xhat = _predictors(rs, 32, 11, 0.5)
-    y, iters, res, ok = _newton_batch(rs, kv, xhat, 0.05, 1e-10)
-    assert res.tobytes() == _fresh_residual(rs, kv, xhat, 0.05, y).tobytes()
-    assert np.array_equal(ok, res <= 1e-10)
-    if cap is None:
-        assert ok.all() and np.unique(iters).size > 2
-    else:
-        assert iters.max() == cap and not ok.all()
+    for rs, k in (NEWTON_SYSTEMS["A3"], A3_B2_A3):
+        kv = np.asarray(k)[rs.orbit_of]
+        xhat = _predictors(rs, 32, 11, 0.5)
+        y, iters, res, ok = _newton_batch(rs, kv, xhat, 0.05, 1e-10)
+        assert res.tobytes() == _fresh_residual(rs, kv, xhat, 0.05, y).tobytes()
+        assert np.array_equal(ok, res <= 1e-10)
+        if cap is None:
+            assert ok.all() and np.unique(iters).size > 2
+        else:
+            assert iters.max() == cap and not ok.all()
 
 
 def test_newton_batch_lone_straggler():
@@ -256,7 +261,7 @@ def test_newton_batch_runs_without_lapack_solve(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# capped fixed point
+# capped step
 
 def test_truncated_step_cap_active_oracle():
     # xhat = -10, h = 0.5, k = 1, eps = 1: iteration is y <- xhat + 0.5,
@@ -271,10 +276,10 @@ def test_truncated_iterations_match_certificate():
     assert rho == pytest.approx(0.5)
     assert b0 == pytest.approx(2.0)
     assert m_star == math.ceil(math.log(1e-10 / b0) / math.log(rho))
-    # the first sweep lands on the fixed point -9.5 and the second sees no
-    # change, so the a posteriori test stops the iteration after two sweeps
+    # the explicit sweep that starts Newton lands on the solution -9.5, whose
+    # residual 0 certifies at once: no Newton iteration runs
     rep = solve_truncated_step(D1, [1.0], np.array([-10.0]), 0.5, eps=1.0)
-    assert rep.iterations == 2
+    assert (rep.iterations, rep.residual) == (0, 0.0)
     assert 2 <= m_star
 
 
@@ -292,23 +297,26 @@ CAPPED_SYSTEMS = {
        st.floats(0.3, 2.0), st.floats(0.5, 5.0), st.integers(0, 2**32 - 1))
 @settings(max_examples=120, deadline=None)
 def test_capped_early_exit_within_certified_bound(name, rho_target, eps, spread, seed):
-    """Every path of a batch stops within B0 rho^{m*} of the fixed point,
-    after at least one and at most m* sweeps."""
+    """Every row of a capped Newton batch, and the reference solve, stops at
+    residual B0 rho^{m*} and lies within B0 rho^{m*} of the fixed point
+    that 10 m* sweeps reach."""
     rs, k = CAPPED_SYSTEMS[name]
     kv = np.asarray(k, dtype=float)[rs.orbit_of]
     h = rho_target * eps * eps / float(np.sum(kv * rs.norms_sq))
     xhat = np.random.default_rng(seed).normal(size=(16, rs.dim)) * spread
     m_star, rho, b0 = fixed_point_certificate(rs, k, h, eps, 1e-10)
-    y, iters = _fixed_point_batch(rs, kv, xhat, h, eps, (m_star, rho, b0))
+    bound = b0 * rho ** m_star
+    y, iters, res, ok = _newton_batch(rs, kv, xhat, h, bound, eps=eps)
     y_ref = xhat.copy()
     for _ in range(10 * m_star):
         w = kv / np.maximum(eps, rs.pairings(y_ref))
         y_ref = xhat + h * (w @ rs.matrix)
-    assert np.all(np.linalg.norm(y - y_ref, axis=1) <= b0 * rho ** m_star)
-    assert np.all((1 <= iters) & (iters <= m_star))
+    assert ok.all()
+    assert np.all(np.linalg.norm(y - y_ref, axis=1) <= bound)
+    assert np.all(iters < stepping._NEWTON_CAP)
     rep = solve_truncated_step(rs, k, xhat[0], h, eps=eps)
-    assert np.linalg.norm(rep.y - y_ref[0]) <= b0 * rho ** m_star
-    assert 1 <= rep.iterations <= m_star
+    assert np.linalg.norm(rep.y - y_ref[0]) <= bound
+    assert rep.residual <= bound
 
 
 def test_truncated_rejects_non_contractive_stepsize():

@@ -83,22 +83,17 @@ def batch_increments(r: int, finest_n: int, T: float, master_seed: int,
 def coarsen(increments: np.ndarray, factor: int) -> np.ndarray:
     """Sum consecutive groups of `factor` increments (pairwise within groups).
 
-    `factor` must divide the number of increments.  For power-of-two
-    factors composition is exact: coarsening by f1 then f2 is bitwise the
-    same as coarsening by f1*f2.
+    `factor` must be a power of two dividing the number of increments, so
+    composition is exact: coarsening by f1 then f2 is bitwise the same as
+    coarsening by f1*f2.
     """
     inc = np.asarray(increments)
     n = inc.shape[-2]
-    if factor < 1 or n % factor != 0:
-        raise GridError(f"factor {factor} does not divide {n} increments")
+    if factor < 1 or factor & (factor - 1) or n % factor != 0:
+        raise GridError(f"factor {factor} is not a power of two dividing {n} increments")
     if factor == 1:
         return inc.copy()
-    shape = inc.shape[:-2] + (n // factor, factor, inc.shape[-1])
-    groups = inc.reshape(shape)
+    groups = inc.reshape(inc.shape[:-2] + (n // factor, factor, inc.shape[-1]))
     while groups.shape[-2] > 1:
-        if groups.shape[-2] % 2:
-            head = groups[..., 0::2, :][..., :-1, :] + groups[..., 1::2, :]
-            groups = np.concatenate([head, groups[..., -1:, :]], axis=-2)
-        else:
-            groups = groups[..., 0::2, :] + groups[..., 1::2, :]
+        groups = groups[..., 0::2, :] + groups[..., 1::2, :]
     return groups[..., 0, :]

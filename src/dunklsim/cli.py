@@ -34,8 +34,8 @@ from . import __version__
 from .brownian import TimeGrid, batch_increments
 from .config import _KINDS, ExperimentConfig, _cir_constants, load_config
 from .errors import ConfigError, DunklSimError, FitError, SolverError
-from .mc import (RATE_THRESHOLD, _chunk_size, chamber_exit, cir_mean_check, fit_order,
-                 increment_scaling, negative_moments, strong_error)
+from .mc import (_chunk_size, chamber_exit, cir_mean_check, fit_order, increment_scaling,
+                 negative_moments, strong_error, threshold_warning)
 from .model import _noise_lattice, lipschitz_scale, moment_threshold, validate_assumptions
 from .roots import validate_axioms
 from .scheme import _closed_form_ok, capped_step_bound, run_batch, truncation_level
@@ -128,8 +128,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
 
     elif cfg.kind == "convergence":
         curve = strong_error(m, s.theta, cfg.n_list, cfg.n_ref, cfg.M, seed,
-                             variant=s.variant, c=s.c,
-                             solver_tol=s.solver_tol, threads=threads)
+                             variant=s.variant, c=s.c, threads=threads)
         csv = ("convergence.csv", ("n", "rms_sup_error", "std_error", "M", "n_ref"),
                [(curve.n_values, curve.rms_errors, curve.std_errors, curve.M, curve.n_ref)])
         results = {"fit": _try_fit(curve), "variant": curve.variant,
@@ -137,8 +136,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
 
     elif cfg.kind == "moments":
         rep = negative_moments(m, cfg.params["p"], s.theta, cfg.n, cfg.M, seed,
-                               pathwise_sup=cfg.params["pathwise_sup"],
-                               solver_tol=s.solver_tol, threads=threads)
+                               pathwise_sup=cfg.params["pathwise_sup"], threads=threads)
         csv = ("moments.csv", ("root_index", "t", "p", "estimate", "std_error"),
                [(ri, rep.times, rep.p, est, se)
                 for ri, (est, se) in enumerate(zip(rep.estimates, rep.std_errors))])
@@ -149,15 +147,13 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
 
     elif cfg.kind == "increments":
         rep = increment_scaling(m, s.theta, cfg.n, cfg.M, cfg.params["lags"],
-                                seed, solver_tol=s.solver_tol, threads=threads)
+                                seed, threads=threads)
         csv = ("increments.csv", ("lag", "mean_square_increment", "std_error"),
                [(rep.lags, rep.estimates, rep.std_errors)])
         results = {"slope": rep.slope, "M": rep.M, "n": rep.n}
 
     elif cfg.kind == "chamber-exit":
-        rep = chamber_exit(m, s.theta, s.c, cfg.n_list, cfg.M, seed,
-                           variant=s.variant, solver_tol=s.solver_tol,
-                           threads=threads)
+        rep = chamber_exit(m, s.theta, s.c, cfg.n_list, cfg.M, seed, threads=threads)
         csv = ("exit.csv", ("n", "exit_fraction", "ci_low", "ci_high"),
                [(rep.n_values, rep.fractions, rep.ci_low, rep.ci_high)])
         results = {"counts": list(rep.counts), "decay_slope": rep.decay_slope,
@@ -166,7 +162,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
     elif cfg.kind == "cir-check":
         k0, sigma0, lam0, xi0, T = _cir_constants(m)
         rep = cir_mean_check(k0, sigma0, lam0, xi0, T, s.theta, cfg.n, cfg.M,
-                             seed, solver_tol=s.solver_tol, threads=threads)
+                             seed, threads=threads)
         csv = ("cir.csv", ("mc_mean", "std_error", "ode_mean", "z_score", "n", "M"),
                [(rep.mc_mean, rep.std_error, rep.ode_mean, rep.z_score, rep.n, rep.M)])
         results = {"mc_mean": rep.mc_mean, "std_error": rep.std_error,
@@ -295,11 +291,8 @@ def cmd_describe(args) -> int:
                         else f"certified step error <= {capped_step_bound(m, cfg_n):.3e}"))
         print(line)
 
-    need = RATE_THRESHOLD[s.variant]
-    if p_star <= need:
-        print(f"warning: moment threshold {p_star:g} <= {need:g}; the "
-              f"{s.variant} scheme's strong-rate guarantee does not cover "
-              "this model")
+    if warning := threshold_warning(m, s.variant):
+        print(f"warning: {warning}")
     return 0
 
 

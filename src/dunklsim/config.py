@@ -16,8 +16,8 @@ key's parser only when the key is present.  `_object` builds a value from
 such a table once every entry parsed, and `_tagged` picks the table by the
 object's `form`, `type` or `kind` key.  Time functions, root systems,
 sigma, drift, the four blocks and the experiment kinds are tables read
-this way; `_KINDS` also lists the run sizes each experiment needs.
-The checks that relate blocks (moments needs the exact variant, the
+this way; `_KINDS` also lists the run sizes each experiment needs and the
+scheme variants it runs.  The checks that relate blocks (the variant, the
 convergence grid rule, the cir-check model) run after the blocks are read.
 """
 from __future__ import annotations
@@ -223,14 +223,12 @@ class SchemeSettings:
     variant: str
     theta: float
     c: float = 1.1
-    solver_tol: float = 1e-10
 
     def __post_init__(self):
         self.resolve(1)  # SchemeConfig rejects inadmissible values
 
     def resolve(self, n: int) -> SchemeConfig:
-        return SchemeConfig(variant=self.variant, theta=self.theta, n=n, c=self.c,
-                            solver_tol=self.solver_tol)
+        return SchemeConfig(variant=self.variant, theta=self.theta, n=n, c=self.c)
 
 
 @dataclass(frozen=True)
@@ -249,16 +247,20 @@ class ExperimentConfig:
     raw: dict
 
 
-# Each experiment kind: its own keys, and the run sizes it needs.
+# Each experiment kind: its own keys, the run sizes it needs and the scheme
+# variants it runs.  Negative moments, increments and the squared-mean check
+# are measured on the chamber, which only the exact variant keeps; only the
+# truncated variant can exit it.
+_EXACT = ("exact",)
 _KINDS = {
-    "simulate": ({}, ("M", "n")),
-    "convergence": ({}, ("M", "n_list", "n_ref")),
-    "moments": ({"p": _number(lo=0.0), "pathwise_sup": (_bool, False)}, ("M", "n")),
-    "increments": ({"lags": _list(_number(), 1)}, ("M", "n")),
-    "chamber-exit": ({}, ("M", "n_list")),
-    "cir-check": ({}, ("M", "n")),
+    "simulate": ({}, ("M", "n"), VARIANTS),
+    "convergence": ({}, ("M", "n_list", "n_ref"), VARIANTS),
+    "moments": ({"p": _number(lo=0.0), "pathwise_sup": (_bool, False)}, ("M", "n"), _EXACT),
+    "increments": ({"lags": _list(_number(), 1)}, ("M", "n"), _EXACT),
+    "chamber-exit": ({}, ("M", "n_list"), ("truncated",)),
+    "cir-check": ({}, ("M", "n"), _EXACT),
     "validate": ({"samples": (_number(lo=1, integer=True), 256),
-                  "tol": (_number(lo=0.0, strict=True), 1e-8)}, ()),
+                  "tol": (_number(lo=0.0, strict=True), 1e-8)}, (), VARIANTS),
 }
 
 EXPERIMENT_KINDS = tuple(_KINDS)
@@ -270,11 +272,9 @@ _BLOCKS = {
                       "xi": _list(_number()), "sigma": _SIGMA, "drift": _DRIFT,
                       "k": _list(_TIMEFN, 1)}, ModelSpec),
     "scheme": _object({"variant": _one_of(VARIANTS), "theta": _number(lo=0.0),
-                       "c": (_number(), 1.1),
-                       "solver_tol": (_number(lo=0.0, strict=True), 1e-10)},
-                      SchemeSettings),
+                       "c": (_number(), 1.1)}, SchemeSettings),
     "experiment": _tagged("kind", {kind: (fields, None)
-                                   for kind, (fields, _) in _KINDS.items()}),
+                                   for kind, (fields, *_) in _KINDS.items()}),
     "run": _object({"master_seed": _number(lo=0, hi=_U64 - 1, integer=True),
                     "M": (_SIZE, None), "n": (_SIZE, None),
                     "n_list": (_list(_SIZE, 1), None), "n_ref": (_SIZE, None),
@@ -298,11 +298,12 @@ def parse_config(text: str) -> ExperimentConfig:
     # checks below still report every problem of the other blocks.
     kind = raw["experiment"].get("kind") if isinstance(raw.get("experiment"), dict) else None
     if kind in EXPERIMENT_KINDS:
-        for need in _KINDS[kind][1]:
+        _, sizes, variants = _KINDS[kind]
+        for need in sizes:
             if run is not None and need not in raw["run"]:
                 probs.add(f"$.run.{need}", f"required by the {kind} experiment")
-        if kind == "moments" and scheme is not None and scheme.variant != "exact":
-            probs.add("$.scheme.variant", "moments requires the exact variant")
+        if scheme is not None and scheme.variant not in variants:
+            probs.add("$.scheme.variant", f"{kind} requires the {variants[0]} variant")
         if kind == "convergence" and run and run["n_list"] and run["n_ref"]:
             n_list, n_ref = run["n_list"], run["n_ref"]
             if list(n_list) != sorted(set(n_list)):

@@ -95,13 +95,15 @@ def _map_paths(m: ModelSpec, n: int, M: int, master_seed: int, threads: int,
         list(pool.map(run, starts))
 
 
-def _warn_threshold(m: ModelSpec, variant: str) -> None:
+def threshold_warning(m: ModelSpec, variant: str) -> str | None:
+    """Why the `variant` scheme's strong-rate guarantee does not cover `m`,
+    or None when it does."""
     p_star = moment_threshold(m)
     need = RATE_THRESHOLD[variant]
-    if p_star <= need:
-        warnings.warn(
-            f"moment threshold {p_star:g} <= {need:g}: the {variant} scheme's "
-            "strong-rate guarantee does not cover this model", stacklevel=3)
+    if p_star > need:
+        return None
+    return (f"moment threshold {p_star:g} <= {need:g}: the {variant} scheme's "
+            "strong-rate guarantee does not cover this model")
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ class FitResult:
 
 def strong_error(m: ModelSpec, theta: float, n_list, n_ref: int, M: int,
                  master_seed: int, variant: str = "exact", c: float = 1.1,
-                 solver_tol: float = 1e-10, threads: int = 1) -> ErrorCurve:
+                 threads: int = 1) -> ErrorCurve:
     """Coupled strong-error curve e(n) = sqrt(E sup_l |X_ref(t_l) - X_n(t_l)|^2).
 
     Each n must divide n_ref with a power-of-two ratio.  The reference is
@@ -142,12 +144,13 @@ def strong_error(m: ModelSpec, theta: float, n_list, n_ref: int, M: int,
     for n in ns:
         if n > n_ref or n_ref % n != 0 or (n_ref // n) & (n_ref // n - 1):
             raise GridError(f"n={n} must divide n_ref={n_ref} with a power-of-two ratio")
-    _warn_threshold(m, variant)
+    if warning := threshold_warning(m, variant):
+        warnings.warn(warning, stacklevel=2)
 
     coarse = [n for n in ns if n != n_ref]
     n_max = max(coarse) if coarse else n_ref
     ref_stride = n_ref // n_max
-    cfg_ref = SchemeConfig(variant, theta, n_ref, c, solver_tol)
+    cfg_ref = SchemeConfig(variant, theta, n_ref, c)
     sup2 = np.zeros((M, len(ns)))
 
     def work(start, stop, inc):
@@ -158,7 +161,7 @@ def strong_error(m: ModelSpec, theta: float, n_list, n_ref: int, M: int,
             if n == n_ref:
                 continue
             prev, n_prev = coarsen(prev, n_prev // n), n
-            res = run_batch(m, SchemeConfig(variant, theta, n, c, solver_tol), prev)
+            res = run_batch(m, SchemeConfig(variant, theta, n, c), prev)
             diff = res.states - ref.states[:, ::n_max // n]
             sup2[start:stop, j] = np.sum(diff * diff, axis=2).max(axis=1)
 
@@ -177,8 +180,7 @@ def _rms(mean, se) -> tuple[float, float]:
 
 
 def scheme_gap(m: ModelSpec, theta: float, n: int, M: int, master_seed: int,
-               c: float = 1.1, solver_tol: float = 1e-10,
-               threads: int = 1) -> tuple[float, float]:
+               c: float = 1.1, threads: int = 1) -> tuple[float, float]:
     """RMS sup gap between exact and capped variants on shared drivers.
 
     Runs both variants with the same theta, so theta must be admissible
@@ -191,8 +193,8 @@ def scheme_gap(m: ModelSpec, theta: float, n: int, M: int, master_seed: int,
     sup2 = np.zeros(M)
 
     def work(start, stop, inc):
-        a = run_batch(m, SchemeConfig("exact", theta, n, c, solver_tol), inc)
-        b = run_batch(m, SchemeConfig("truncated", theta, n, c, solver_tol), inc)
+        a = run_batch(m, SchemeConfig("exact", theta, n), inc)
+        b = run_batch(m, SchemeConfig("truncated", theta, n, c), inc)
         diff = a.states - b.states
         sup2[start:stop] = np.sum(diff * diff, axis=2).max(axis=1)
 
@@ -267,7 +269,7 @@ class MomentReport:
 
 def negative_moments(m: ModelSpec, p: float, theta: float, n: int, M: int,
                      master_seed: int, pathwise_sup: bool = False,
-                     solver_tol: float = 1e-10, threads: int = 1) -> MomentReport:
+                     threads: int = 1) -> MomentReport:
     """Grid estimates of negative pairing moments under the exact scheme.
 
     Warns when p >= moment_threshold(m), where boundedness is no longer
@@ -280,7 +282,7 @@ def negative_moments(m: ModelSpec, p: float, theta: float, n: int, M: int,
     if p >= p_star:
         warnings.warn(f"moment order {p:g} >= threshold {p_star:g}; "
                       "estimates may diverge with M", stacklevel=2)
-    cfg = SchemeConfig("exact", theta, n, 1.1, solver_tol)
+    cfg = SchemeConfig("exact", theta, n)
     n_roots = m.rs.n_roots
     nblocks = -(-M // BLOCK)
     s1 = np.zeros((nblocks, n + 1, n_roots))
@@ -323,8 +325,7 @@ class IncrementReport:
 
 
 def increment_scaling(m: ModelSpec, theta: float, n: int, M: int, lag_list,
-                      master_seed: int, solver_tol: float = 1e-10,
-                      threads: int = 1) -> IncrementReport:
+                      master_seed: int, threads: int = 1) -> IncrementReport:
     """Mean squared increments per lag under the exact scheme.
 
     Lags must be grid multiples (within 1e-9 relative); lag 0 reports 0.
@@ -340,7 +341,7 @@ def increment_scaling(m: ModelSpec, theta: float, n: int, M: int, lag_list,
         if abs(s * dt - lag) > 1e-9 * max(dt, abs(lag)):
             raise GridError(f"lag {lag} is not a multiple of dt={dt}")
         steps.append(s)
-    cfg = SchemeConfig("exact", theta, n, 1.1, solver_tol)
+    cfg = SchemeConfig("exact", theta, n)
     per_path = np.zeros((M, len(steps)))
 
     def work(start, stop, inc):
@@ -389,29 +390,23 @@ class ExitReport:
 
 
 def chamber_exit(m: ModelSpec, theta: float, c: float, n_list, M: int,
-                 master_seed: int, variant: str = "truncated",
-                 solver_tol: float = 1e-10, threads: int = 1) -> ExitReport:
+                 master_seed: int, threads: int = 1) -> ExitReport:
     """Fraction of capped-scheme paths that ever leave the chamber.
 
     A path exits if any grid state has a nonpositive pairing.  The decay
     slope regresses log fraction on log n over entries with >= 5 exits
-    (None with fewer than 3 distinct such n).  The exact variant preserves
-    the chamber by construction, so querying it reports zero fractions
-    without simulating.
+    (None with fewer than 3 distinct such n).  Only the truncated variant
+    runs: the exact one preserves the chamber by construction.
     """
     ns = tuple(int(n) for n in n_list)
     if not ns:
         raise ParameterError("need at least one grid size")
-    if variant == "exact":
-        lo, hi = wilson_interval(0, M)
-        return ExitReport(n_values=ns, counts=(0,) * len(ns),
-                          fractions=(0.0,) * len(ns), ci_low=(lo,) * len(ns),
-                          ci_high=(hi,) * len(ns), M=M, decay_slope=None)
-    _warn_threshold(m, "truncated")
+    if warning := threshold_warning(m, "truncated"):
+        warnings.warn(warning, stacklevel=2)
     counts = []
     for n in ns:
         exited = np.zeros(M, dtype=bool)
-        cfg = SchemeConfig("truncated", theta, n, c, solver_tol)
+        cfg = SchemeConfig("truncated", theta, n, c)
 
         def work(start, stop, inc):
             # only the exit steps are read, so store no state but the last
@@ -454,7 +449,7 @@ def squared_mean_ode(k0: float, sigma0: float, lam0: float, xi: float, T: float)
 
 def cir_mean_check(k0: float, sigma0: float, lam0: float, xi: float, T: float,
                    theta: float, n: int, M: int, master_seed: int,
-                   solver_tol: float = 1e-10, threads: int = 1) -> CirReport:
+                   threads: int = 1) -> CirReport:
     """Compare E[X(T)^2] under the exact scheme with the squared-process ODE.
 
     For the d=1 model the squared process is a mean-reverting square-root
@@ -462,7 +457,7 @@ def cir_mean_check(k0: float, sigma0: float, lam0: float, xi: float, T: float,
     consistency check of the whole pipeline.
     """
     m = bessel_model(k=k0, sigma0=sigma0, lam=lam0, xi=xi, T=T)
-    cfg = SchemeConfig("exact", theta, n, 1.1, solver_tol)
+    cfg = SchemeConfig("exact", theta, n)
     finals = np.zeros(M)
 
     def work(start, stop, inc):

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stepping
 from .brownian import TimeGrid
 from .coefficients import ZeroDrift
 from .errors import DimensionError, GridError, ParameterError, PathSolverError
@@ -46,13 +47,13 @@ VARIANTS = ("exact", "truncated")
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme parameters; `c` is only read by the truncated variant."""
+    """Scheme parameters; `c` is only read by the truncated variant.  Every
+    step certifies the error `stepping._SOLVER_TOL`."""
 
     variant: str
     theta: float
     n: int
     c: float = 1.1
-    solver_tol: float = 1e-10
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -65,8 +66,6 @@ class SchemeConfig:
                 f"theta must lie in [0, {hi}) for the {self.variant} variant, got {self.theta}")
         if self.variant == "truncated" and not self.c > 1.0:
             raise ParameterError(f"cap multiplier c must exceed 1, got {self.c}")
-        if not self.solver_tol > 0.0:
-            raise ParameterError("solver tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def _step_bounds(m: ModelSpec, cfg: SchemeConfig, grid: TimeGrid) -> list[float]
     eps = truncation_level(m, cfg)
     rows, inverse = np.unique(m.k_at(grid.times[1:]), axis=0, return_inverse=True)
     bounds = [b0 * rho ** m_star for m_star, rho, b0 in
-              (_certificate(m.rs, kv, h, eps, cfg.solver_tol) for kv in rows)]
+              (_certificate(m.rs, kv, h, eps, stepping._SOLVER_TOL) for kv in rows)]
     return [bounds[i] for i in inverse.ravel()]
 
 
@@ -164,7 +163,7 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     closed_form = _closed_form_ok(rs)
     # the capped step stops at the residual its certificate allows
     tols = (_step_bounds(m, cfg, grid) if truncated and not closed_form
-            else [cfg.solver_tol] * cfg.n)
+            else [stepping._SOLVER_TOL] * cfg.n)
 
     if cfg.n % store_stride != 0:
         raise GridError(f"store stride {store_stride} does not divide n={cfg.n}")

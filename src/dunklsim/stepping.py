@@ -53,10 +53,12 @@ from .roots import RootSystem
 
 # Newton's line search: a trial at step t must cut the residual by the
 # factor 1 - _ARMIJO t, and an exact step covers at most _WALL_FRACTION of
-# the way to a wall.
+# the way to a wall.  Every step certifies an error of at most _SOLVER_TOL,
+# which `scheme.run_batch` reads when it is called.
 _ARMIJO = 1e-4
 _WALL_FRACTION = 0.95
 _NEWTON_CAP = 200
+_SOLVER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,8 @@ def _per_root_k(rs: RootSystem, k_orbit) -> np.ndarray:
     return k_orbit[rs.orbit_of]
 
 
-def solve_exact_step(rs: RootSystem, k_orbit, xhat, h: float, tol: float = 1e-10,
-                     initial=None) -> SolveReport:
+def solve_exact_step(rs: RootSystem, k_orbit, xhat, h: float,
+                     tol: float = _SOLVER_TOL, initial=None) -> SolveReport:
     """Solve the implicit step exactly (damped Newton on grad phi = 0).
 
     `k_orbit` holds one positive strength per orbit (already evaluated at
@@ -158,7 +160,7 @@ def _reference(rs: RootSystem, kv: np.ndarray, xhat, h: float, tol: float,
 
 
 def solve_truncated_step(rs: RootSystem, k_orbit, xhat, h: float, eps: float,
-                         tol: float = 1e-10) -> SolveReport:
+                         tol: float = _SOLVER_TOL) -> SolveReport:
     """Solve the capped step by semismooth Newton, certified.
 
     Requires h < eps^2 / L strictly (L = sum k |alpha|^2), so that the
@@ -188,7 +190,7 @@ def step_residual(rs: RootSystem, k_orbit, xhat, h: float, y, eps: float | None 
 
 
 def fixed_point_certificate(rs: RootSystem, k_orbit, h: float, eps: float,
-                            tol: float) -> tuple[int, float, float]:
+                            tol: float = _SOLVER_TOL) -> tuple[int, float, float]:
     """Sweep count m*, contraction factor rho and initial bound B0 of the
     capped step: m* is the smallest m with B0 * rho^m <= tol, and the capped
     solver certifies |y - y_star| <= B0 rho^{m*}."""

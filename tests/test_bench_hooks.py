@@ -3,6 +3,8 @@
 `bench/tracing.py` rebinds layer functions that `dunklsim.cli` and
 `dunklsim.mc` import by name.  Renaming or dropping one of them breaks
 `bench/run.py --trace 1`; the tracer test makes that a unit-test failure.
+The traced run also sweeps `run_batch` over root systems and variants
+(`bench/worker.py::_sweep`), which the sweep test runs on a small batch.
 The workload configs of `bench/workloads.py`, like the shipped
 `configs/*.json`, must keep parsing and describing.
 """
@@ -21,15 +23,15 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
 
 
-def _bench_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_WORKLOADS = _bench_workloads()
+_WORKLOADS = _bench_module("workloads")
 CONFIGS = {**{name: _WORKLOADS.make_config(name, 3) for name in _WORKLOADS.NAMES},
            **{p.name: json.loads(p.read_text())
               for p in sorted((ROOT / "configs").glob("*.json"))}}
@@ -84,3 +86,19 @@ def test_bench_and_shipped_configs_parse_and_describe(name, tmp_path, capsys):
         assert isinstance(cfg.scheme.resolve(cfg.n), SchemeConfig)
     assert cli.main(["describe", str(path)]) == 0
     assert "root system" in capsys.readouterr().out
+
+
+def test_scheme_sweep_runs_every_system_and_variant(monkeypatch):
+    worker = _bench_module("worker")
+    monkeypatch.setattr(worker, "SWEEP_PATHS", 4)
+    monkeypatch.setattr(worker, "SWEEP_STEPS", 8)
+    out = worker._sweep(3)
+    keys = [f"scheme.sweep.{name}.{variant}" for name in ("d1", "A2", "A3", "A5")
+            for variant in ("exact", "truncated")]
+    assert sorted(out) == sorted(f"{key}.{metric}" for key in keys
+                                 for metric in ("path_steps_per_s", "iters_per_step"))
+    assert all(out[f"{key}.path_steps_per_s"] > 0.0 for key in keys)
+    # d=1 and A(2) step in closed form; A(3) and A(5) run Newton
+    for key in keys:
+        closed_form = key.split(".")[2] in ("d1", "A2")
+        assert (out[f"{key}.iters_per_step"] == 0.0) == closed_form

@@ -99,6 +99,8 @@ def test_coarsen_rejects_non_divisor():
         coarsen(x, 3)
     with pytest.raises(GridError):
         coarsen(x, 0)
+    with pytest.raises(GridError):                     # divides 24, not a power of two
+        coarsen(np.zeros((24, 1)), 3)
 
 
 def test_coarsen_endpoint_invariant_bitwise():

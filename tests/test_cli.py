@@ -249,15 +249,15 @@ def test_rerun_and_thread_budgets_byte_identical(tmp_path):
 
 
 def _record_batches(monkeypatch, fail_call=None):
-    """Wrap cli.run_batch to record each call's path count; call number
-    `fail_call` runs with a tolerance no step can certify."""
+    """Wrap cli.run_batch to record each call's path count; from call number
+    `fail_call` on, the solver tolerance is one no step can certify."""
     calls = []
     real = cli.run_batch
 
     def wrapped(m, cfg, inc, **kw):
         calls.append(inc.shape[0])
         if len(calls) == fail_call:
-            cfg = dataclasses.replace(cfg, solver_tol=1e-300)
+            monkeypatch.setattr(stepping, "_SOLVER_TOL", 1e-300)
         return real(m, cfg, inc, **kw)
 
     monkeypatch.setattr(cli, "run_batch", wrapped)
@@ -395,6 +395,19 @@ def test_constant_drift_of_wrong_length_exits_2(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error - $.model: ")
 
 
+@pytest.mark.parametrize("theta", [0.25, 0.75])
+def test_increments_with_truncated_variant_exits_2(tmp_path, capsys, theta):
+    # increments are measured on the chamber, so only the exact scheme runs
+    doc = _simulate_cfg(tmp_path)
+    doc["scheme"] = {"variant": "truncated", "theta": theta}
+    doc["experiment"] = {"kind": "increments", "lags": [0.125, 0.25]}
+    rc = main(["run", _write(tmp_path, doc)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert err == ["config error - $.scheme.variant: increments requires the exact variant"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.json")])
     assert rc == 1
@@ -445,13 +458,13 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["run", _write(tmp_path, doc)]) == 0
     before = {f: (out_dir / f).read_bytes() for f in ("paths.csv", "summary.json")}
 
-    doc["scheme"]["solver_tol"] = 1e-300               # never certified
-    rc = main(["run", _write(tmp_path, doc)])
+    with monkeypatch.context() as patch:
+        patch.setattr(stepping, "_SOLVER_TOL", 1e-300)  # never certified
+        rc = main(["run", _write(tmp_path, doc)])
     assert rc == 3
     assert "solver failure" in capsys.readouterr().err
 
     # a failure in the third chunk, after two chunks' rows were streamed
-    doc["scheme"].pop("solver_tol")
     monkeypatch.setattr(mc, "_MAX_CHUNK", 2)
     calls = _record_batches(monkeypatch, fail_call=3)
     rc = main(["run", _write(tmp_path, doc)])

@@ -154,6 +154,7 @@ def test_absent_or_non_object_block_is_one_problem(block, value, message):
     ({"model__drift": {"form": "zero", "rate": 1.0}}, "$.model.drift.rate: unknown key"),
     ({"model__k": [4.0, "x"]}, "$.model.k[1]: expected a finite number"),
     ({"model__T": 10 ** 400}, "$.model.T: expected a finite number"),
+    ({"scheme__solver_tol": 1e-10}, "$.scheme.solver_tol: unknown key"),   # a fixed constant
 ])
 def test_each_problem_reported_once(edits, problem):
     assert _problems(_cfg(**edits)) == [problem]
@@ -190,6 +191,27 @@ def test_moments_requires_power_and_exact_variant():
         experiment={"kind": "moments", "p": 2.0},
         scheme={"variant": "truncated", "theta": 0.0}))
     assert any("exact variant" in p for p in probs)
+
+
+CIR_MODEL = {"root_system": {"type": "custom", "dim": 1, "roots": [[1.0]], "orbits": [[0]]},
+             "T": 1.0, "xi": [1.0], "sigma": {"form": "scalar_identity", "fn": 1.0},
+             "drift": {"form": "linear", "lambda": 0.5}, "k": [1.0]}
+KIND_EDITS = {
+    "increments": dict(experiment={"kind": "increments", "lags": [0.25]}),
+    "cir-check": dict(experiment={"kind": "cir-check"}, model=CIR_MODEL),
+    "chamber-exit": dict(experiment={"kind": "chamber-exit"},
+                         run={"master_seed": 1, "M": 4, "n_list": [8]}),
+}
+
+
+@pytest.mark.parametrize("kind, runs, other", [("increments", "exact", "truncated"),
+                                               ("cir-check", "exact", "truncated"),
+                                               ("chamber-exit", "truncated", "exact")])
+def test_kind_runs_one_variant(kind, runs, other):
+    ok = parse_config(_cfg(**KIND_EDITS[kind], scheme={"variant": runs, "theta": 0.0}))
+    assert ok.kind == kind and ok.scheme.variant == runs
+    probs = _problems(_cfg(**KIND_EDITS[kind], scheme={"variant": other, "theta": 0.0}))
+    assert probs == [f"$.scheme.variant: {kind} requires the {runs} variant"]
 
 
 def test_convergence_grid_constraints():

@@ -362,13 +362,17 @@ def test_wilson_interval_contains_fraction(count, extra):
     assert 0.0 <= lo <= count / total <= hi <= 1.0
 
 
-def test_chamber_exit_exact_variant_is_identically_zero():
-    m = dyson_model(2, k=4.0)
-    rep = chamber_exit(m, 0.0, 1.1, [8, 16], 500, 3, variant="exact")
-    assert rep.fractions == (0.0, 0.0)
-    assert rep.counts == (0, 0)
-    assert rep.decay_slope is None
-    assert all(hi > 0 for hi in rep.ci_high)
+def test_chamber_exit_counts_truncated_exits_where_exact_has_none():
+    # on the same drivers the exact scheme keeps every state in the chamber,
+    # and the truncated scheme, the only one chamber_exit runs, leaves it
+    m = type_b_model(2, **NEAR_WALL_B2)
+    inc = batch_increments(m.brownian_dim, 16, m.T, 3, np.arange(500))
+    exact = run_batch(m, SchemeConfig("exact", 0.0, 16), inc)
+    assert m.rs.pairings(exact.states).min() > 0.0
+    truncated = run_batch(m, SchemeConfig("truncated", 0.0, 16, 1.1), inc)
+    rep = chamber_exit(m, 0.0, 1.1, [16], 500, 3)
+    assert rep.counts == (np.count_nonzero(truncated.first_violation >= 0),)
+    assert rep.counts[0] > 0
 
 
 def test_chamber_exit_truncated_counts_consistent():

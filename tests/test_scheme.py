@@ -73,7 +73,9 @@ def test_theta_range_by_variant():
 
 def test_run_batch_solver_failure_names_step_and_paths(monkeypatch):
     m = dyson_model(3, k=4.0)
-    cfg = SchemeConfig(variant="exact", theta=0.0, n=4, solver_tol=1e-300)
+    cfg = SchemeConfig(variant="exact", theta=0.0, n=4)
+    tol = 1e-300
+    monkeypatch.setattr(stepping, "_SOLVER_TOL", tol)
     inc = _paths(m, cfg.n, seed=2)
     with pytest.raises(PathSolverError) as exc:
         run_batch(m, cfg, inc)
@@ -82,7 +84,7 @@ def test_run_batch_solver_failure_names_step_and_paths(monkeypatch):
     # fails, and the error must name exactly those rows
     xhat = m.xi_array + inc[:, 0]                      # sigma = 1, no drift, theta = 0
     kv = m.k_at(0.25)
-    y, iters, res, ok = _newton_batch(m.rs, kv, xhat, 0.25, cfg.solver_tol)
+    y, iters, res, ok = _newton_batch(m.rs, kv, xhat, 0.25, tol)
     failed = np.nonzero(~ok)[0]
     assert failed.size and exc.value.path_ids == failed.tolist()
     assert exc.value.best.shape == (3,)
@@ -90,7 +92,7 @@ def test_run_batch_solver_failure_names_step_and_paths(monkeypatch):
     # iterate stalls at once and moves nothing
     assert np.all((2 < iters[failed]) & (iters[failed] < stepping._NEWTON_CAP))
     assert f": {failed.size} stalled, 0 hit the cap" in str(exc.value)
-    y2, iters2, res2, _ = _newton_batch(m.rs, kv, xhat, 0.25, cfg.solver_tol, initial=y)
+    y2, iters2, res2, _ = _newton_batch(m.rs, kv, xhat, 0.25, tol, initial=y)
     assert y2.tobytes() == y.tobytes() and res2.tobytes() == res.tobytes()
     assert np.all(iters2[failed] == 1)
     monkeypatch.setattr(stepping, "_NEWTON_CAP", 2)
@@ -132,7 +134,7 @@ def test_truncated_step_equals_reference_bitwise():
     for l in range(cfg.n):
         for i in range(inc.shape[0]):
             xhat = out.states[i, l] + inc[i, l]          # sigma = 1, no drift, theta = 0
-            ref = solve_truncated_step(m.rs, k_orbit, xhat, h, eps, cfg.solver_tol)
+            ref = solve_truncated_step(m.rs, k_orbit, xhat, h, eps)
             assert ref.y.tobytes() == out.states[i, l + 1].tobytes()
             assert ref.iterations == out.iterations[i, l]
 
@@ -244,7 +246,7 @@ def test_audit_residuals_within_tolerance():
         out = run_batch(m, cfg, inc)
         res = audit_batch(m, cfg, inc, out.states)
         assert res.shape == (8, 32)
-        assert res.max() <= cfg.solver_tol
+        assert res.max() <= stepping._SOLVER_TOL
 
 
 def test_audit_single_path_batch():
@@ -254,7 +256,7 @@ def test_audit_single_path_batch():
     out = run_batch(m, cfg, inc)
     res = audit_batch(m, cfg, inc, out.states)
     assert res.shape == (1, 16)
-    assert res.max() <= cfg.solver_tol
+    assert res.max() <= stepping._SOLVER_TOL
 
 
 @pytest.mark.parametrize("case", ["increments-finer", "states-shorter", "increments-fewer-paths"])
@@ -421,7 +423,7 @@ def test_closed_form_rows_match_reference_solvers(name, variant, k, c, n, spread
     k_orbit = [fn(0.0) for fn in m.k]
     if variant == "truncated":
         eps = truncation_level(m, cfg)
-        m_star, rho, b0 = fixed_point_certificate(m.rs, k_orbit, h, eps, cfg.solver_tol)
+        m_star, rho, b0 = fixed_point_certificate(m.rs, k_orbit, h, eps)
         bound = b0 * rho ** m_star
         assert np.all(m.rs.pairings(out.states[0, 1]) < eps)
     for l in range(n):
@@ -429,10 +431,10 @@ def test_closed_form_rows_match_reference_solvers(name, variant, k, c, n, spread
             xhat = out.states[i, l] + inc[i, l]          # sigma = 1, no drift, theta = 0
             y = out.states[i, l + 1]
             if variant == "exact":
-                ref = solve_exact_step(m.rs, k_orbit, xhat, h, cfg.solver_tol)
-                assert np.linalg.norm(y - ref.y) <= cfg.solver_tol + 1e-12
+                ref = solve_exact_step(m.rs, k_orbit, xhat, h)
+                assert np.linalg.norm(y - ref.y) <= stepping._SOLVER_TOL + 1e-12
             else:
-                ref = solve_truncated_step(m.rs, k_orbit, xhat, h, eps, cfg.solver_tol)
+                ref = solve_truncated_step(m.rs, k_orbit, xhat, h, eps)
                 assert np.linalg.norm(y - ref.y) <= bound + 1e-12
 
 

@@ -66,16 +66,20 @@ def _atomic_open(path: str):
         raise
 
 
+_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "U": "%s"}
+
+
 def _write_csv_blocks(out_dir: str, name: str, header: tuple[str, ...], blocks) -> int:
     """Write the header, then each block of columns (scalars broadcast) as
     rows; returns the row count.  A column's dtype fixes its text: %d for
-    int and bool, %.17g (17 significant digits) for float."""
+    int and bool, %.17g (17 significant digits) for float, and the string
+    itself for str (text formatted once, possibly several fields)."""
     with _atomic_open(os.path.join(out_dir, name)) as fh:
         fh.write(",".join(header) + "\n")
         count = 0
         for block in blocks:
             cols = np.broadcast_arrays(*(np.atleast_1d(c) for c in block))
-            row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in cols) + "\n"
+            row = ",".join(_FORMATS.get(c.dtype.kind, "%.17g") for c in cols) + "\n"
             fh.write((row * len(cols[0]))
                      % tuple(chain.from_iterable(zip(*(c.tolist() for c in cols)))))
             count += len(cols[0])
@@ -107,8 +111,9 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
 
     if cfg.kind == "simulate":
         sch = s.resolve(cfg.n)
-        steps = np.arange(cfg.n + 1)
-        times = TimeGrid(cfg.n, m.T).times
+        # the "step,t" text of each time row, formatted once for every path
+        stamps = np.array(["%d,%.17g" % st for st in
+                           zip(range(cfg.n + 1), TimeGrid(cfg.n, m.T).times.tolist())])
         chunk = _chunk_size(cfg.n, max(m.brownian_dim, m.dim))
         results = {"exited_paths": 0, "M": cfg.M, "n": cfg.n}
 
@@ -121,7 +126,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
                                                          seed, ids), record_flags=True)
                 results["exited_paths"] += int(np.count_nonzero(res.first_violation >= 0))
                 for pid, x, flags in zip(ids, res.states, res.in_chamber):
-                    yield (pid, steps, times, *x.T, flags)
+                    yield (pid, stamps, *x.T, flags)
 
         csv = ("paths.csv", ("path_id", "step", "t", *(f"x_{i}" for i in range(m.dim)),
                              "in_chamber"), blocks())

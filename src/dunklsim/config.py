@@ -297,12 +297,14 @@ def parse_config(text: str) -> ExperimentConfig:
     # The kind is known even when the experiment's own keys failed, so the
     # checks below still report every problem of the other blocks.
     kind = raw["experiment"].get("kind") if isinstance(raw.get("experiment"), dict) else None
+    # So is a known variant when the scheme block failed for another reason.
+    variant = raw["scheme"].get("variant") if isinstance(raw.get("scheme"), dict) else None
     if kind in EXPERIMENT_KINDS:
         _, sizes, variants = _KINDS[kind]
         for need in sizes:
             if run is not None and need not in raw["run"]:
                 probs.add(f"$.run.{need}", f"required by the {kind} experiment")
-        if scheme is not None and scheme.variant not in variants:
+        if variant in VARIANTS and variant not in variants:
             probs.add("$.scheme.variant", f"{kind} requires the {variants[0]} variant")
         if kind == "convergence" and run and run["n_list"] and run["n_ref"]:
             n_list, n_ref = run["n_list"], run["n_ref"]

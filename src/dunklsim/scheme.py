@@ -73,7 +73,9 @@ class BatchPaths:
     """States and diagnostics of a batch run (internal to the engine).
 
     `states[:, -1]` holds X(T); `first_violation` is a path's first step
-    outside the chamber (truncated variant), -1 when it never left."""
+    outside the chamber (truncated variant), -1 when it never left;
+    `iterations` holds each step's Newton iterations after the solver's
+    explicit sweeps (0 for a step they or the closed form certify)."""
 
     states: np.ndarray
     first_violation: np.ndarray

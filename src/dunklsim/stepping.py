@@ -20,10 +20,12 @@ steps, for at most 200 iterations (`_NEWTON_CAP`), with a line search that
 backtracks on the residual |g| it certifies (Hessians from the cached
 `RootSystem.outer`, weights h k / <alpha, y>^2, and 0 where a pairing is
 on the cap); a path whose iterate can no longer move stops at once,
-stalled.  The exact step starts inside the chamber and caps each step at a
-fraction of the way to a wall, so every iterate stays strictly inside.
-The capped step starts from two explicit sweeps y <- xhat + h f_eps(y) and
-stops at the residual B0 rho^{m*} <= tol of the contraction certificate
+stalled.  Both steps start from explicit sweeps y <- xhat + h f(y), so
+away from the walls most paths certify before any Newton iteration, and
+iteration counts are Newton iterations after the sweeps.  The exact step
+starts strictly inside and caps each Newton step at a fraction of the way
+to a wall, so every iterate stays strictly inside.  The capped step stops
+at the residual B0 rho^{m*} <= tol of the contraction certificate
 
     |y_star - y_m| <= B0 rho^m,   B0 = eps * sum(k |alpha|) / (L (1 - rho)),
     rho = L h / eps^2 < 1,   L = sum k_alpha |alpha|^2,
@@ -59,6 +61,8 @@ _ARMIJO = 1e-4
 _WALL_FRACTION = 0.95
 _NEWTON_CAP = 200
 _SOLVER_TOL = 1e-10
+# Explicit sweeps y <- xhat + h f(y) that start Newton in both steps.
+_SWEEPS = 5
 
 
 @dataclass(frozen=True)
@@ -207,16 +211,25 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
     `eps` is set) for a batch of predictors (m, d), elementwise per path;
     pass a one-row batch `_twin`ned.
 
+    Without `initial` it starts from `_SWEEPS` explicit sweeps
+    y <- xhat + h f(y), each a contraction by about h L / <alpha, y>^2
+    (L = sum k |alpha|^2): from xhat for the capped step; for the exact
+    step from xhat pushed along the interior direction to the smallest
+    pairing sqrt(h L) / 2, kept per path only if every pairing of the
+    swept iterate (finite) is at least that, else the pushed point.
+    Newton runs on the paths whose start does not certify.
+
     The (generalized) Jacobian I + h sum k / <alpha, y>^2 alpha alpha^T,
     with weight 0 on a capped pairing (one product with the cached
     `rs.outer`), is SPD with eigenvalues >= 1, so the Newton step
     decreases the residual |g|.  The step, capped for the exact equation
     at a fraction of the way to the wall, is halved (at most 60 times)
     until the trial is inside (exact) with residual <= (1 - _ARMIJO t)
-    times the current one.  Returns (y, iterations, residuals, converged);
-    a path stops at residual <= tol, after `_NEWTON_CAP` iterations, or
-    stalled when no trial is taken (none passes, or one rounds to the
-    iterate), which every later iteration would repeat.
+    times the current one.  Returns (y, iterations, residuals, converged),
+    iterations counting Newton iterations after the sweeps (0 where the
+    start certifies); a path stops at residual <= tol, after `_NEWTON_CAP`
+    iterations, or stalled when no trial is taken (none passes, or one
+    rounds to the iterate), which every later iteration would repeat.
     """
     a = rs.matrix
     m, d = xhat.shape
@@ -225,10 +238,11 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
         if np.any((y @ a.T).min(axis=1) <= 0.0):
             raise ChamberError("initial iterate must be strictly inside the chamber")
     elif eps is not None:
-        # two explicit sweeps (f_eps needs no chamber) each cut the error by rho,
-        # by far more away from the walls, so one Newton iteration certifies most rows
-        y = xhat + h * repulsion(a, kv, xhat @ a.T, eps)
-        y = xhat + h * repulsion(a, kv, y @ a.T, eps)
+        # explicit sweeps (f_eps needs no chamber) each cut the error by rho, by
+        # far more away from the walls, so most rows certify before any Newton
+        y = xhat
+        for _ in range(_SWEEPS):
+            y = xhat + h * repulsion(a, kv, y @ a.T, eps)
     else:
         # start from the predictor, pushed along the interior direction
         # until the smallest pairing reaches the step's natural scale
@@ -239,6 +253,15 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
         if np.any(need):
             eta = rs.interior_direction
             y[need] += np.max((target - p[need]) / (a @ eta), axis=1)[:, None] * eta
+        # then sweep as the capped step does, keeping a row's sweeps only where
+        # they end finite (a zero pairing on the way gives inf) with every
+        # pairing >= target; a NaN fails both tests
+        with np.errstate(all="ignore"):
+            z = y
+            for _ in range(_SWEEPS):
+                z = xhat + h * repulsion(a, kv, z @ a.T)
+            keep = (_rows(z @ a.T, np.minimum) >= target) & np.isfinite(_rows(z, np.add))
+        y = np.where(keep[:, None], z, y)
     p = y @ a.T
     g = y - xhat - h * repulsion(a, kv, p, eps)
     res = np.sqrt(_rows(g * g, np.add))

@@ -361,6 +361,20 @@ def test_block_writer_matches_per_value_formatter(tmp_path, kind):
     assert text == _oracle_csv(header, rows)
 
 
+def test_block_writer_text_column_equals_its_fields(tmp_path):
+    """`simulate` formats each time row's "step,t" once and passes it as a str
+    column: the file is the one written from separate step and t columns."""
+    k = len(ODD)
+    stamps = np.array(["%d,%.17g" % st for st in zip(range(k), ODD)])
+    header = ("path_id", "step", "t", "x_0", "in_chamber")
+    text, count = _written(tmp_path, header, [(np.int64(pid), stamps, np.roll(ODD, pid),
+                                               np.arange(k) % 2 == pid) for pid in range(2)])
+    fields = [(np.int64(pid), np.arange(k), np.array(ODD), np.roll(ODD, pid),
+               np.arange(k) % 2 == pid) for pid in range(2)]
+    assert count == 2 * k
+    assert text == _oracle_csv(header, list(_rows_of(fields)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(-2 ** 63, 2 ** 63 - 1), st.floats(), st.booleans()),
                 min_size=1, max_size=20))

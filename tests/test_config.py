@@ -214,6 +214,19 @@ def test_kind_runs_one_variant(kind, runs, other):
     assert probs == [f"$.scheme.variant: {kind} requires the {runs} variant"]
 
 
+def test_variant_checked_when_scheme_block_fails():
+    # the variant problem is reported together with the scheme block's own one
+    probs = _problems(_cfg(**KIND_EDITS["increments"],
+                           scheme={"variant": "truncated", "theta": 1.2}))
+    assert len(probs) == 2
+    assert probs[0].startswith("$.scheme: theta must lie in [0, 1.0)")
+    assert probs[1] == "$.scheme.variant: increments requires the exact variant"
+    # an unknown variant is the scheme block's problem only
+    probs = _problems(_cfg(**KIND_EDITS["increments"],
+                           scheme={"variant": "mystery", "theta": 0.0}))
+    assert probs == ["$.scheme.variant: expected one of ('exact', 'truncated')"]
+
+
 def test_convergence_grid_constraints():
     base = dict(experiment={"kind": "convergence"})
     probs = _problems(_cfg(**base, run={"master_seed": 1, "M": 128,

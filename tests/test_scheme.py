@@ -382,7 +382,8 @@ def test_iterations_recorded():
     cfg = SchemeConfig(variant="exact", theta=0.0, n=16)
     out = run_batch(m, cfg, _paths(m, 16, 6), record_iterations=True)
     assert out.iterations.shape == (8, 16)
-    assert np.all(out.iterations >= 1)
+    # Newton iterations after the explicit sweeps: some step reached Newton
+    assert out.iterations.min() >= 0 and out.iterations.max() >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,54 @@ def test_newton_batch_rows_equal_reference_solves(name, h, spread, seed):
 
 
 @given(st.sampled_from(sorted(NEWTON_SYSTEMS)), st.floats(1e-3, 0.1),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sweeps_alone_certify_strictly_inside(name, h, spread, seed):
+    """A row that takes no Newton iteration was certified by the explicit
+    sweeps: it is strictly inside the chamber, its residual is <= tol and is
+    the fresh residual of its iterate bitwise.  Rows whose walls lie 10
+    sqrt(h L) away contract by 1/100 a sweep and always certify that way."""
+    rs, k = NEWTON_SYSTEMS[name]
+    kv = np.asarray(k)[rs.orbit_of]
+    rng = np.random.default_rng(seed)
+    far = 10.0 * math.sqrt(h * float(np.sum(kv * rs.norms_sq)))
+    xhat = np.vstack([_predictors(rs, 6, seed, spread),
+                      sample_chamber_points(rs, 6, rng, wall_lo=far, wall_hi=2.0 * far)])
+    y, iters, res, ok = _newton_batch(rs, kv, xhat, h, 1e-10)
+    assert ok.all() and np.all(iters[6:] == 0)
+    swept = iters == 0
+    assert np.all(rs.pairings(y[swept]).min(axis=1) > 0.0)
+    assert np.all(res[swept] <= 1e-10)
+    assert res.tobytes() == _fresh_residual(rs, kv, xhat, h, y).tobytes()
+
+
+def test_sweeps_leaving_the_chamber_fall_back_to_pushed_start(monkeypatch):
+    """From a predictor far outside (-20 eta) the sweeps leave the chamber, so
+    Newton starts from the predictor pushed in to the smallest pairing
+    target = sqrt(h L) / 2, and certifies from there."""
+    rs, k = NEWTON_SYSTEMS["B3"]
+    kv = np.asarray(k)[rs.orbit_of]
+    h = 0.02
+    eta = rs.interior_direction
+    target = math.sqrt(h * float(np.sum(kv * rs.norms_sq))) / 2.0
+    deep = sample_chamber_points(rs, 3, np.random.default_rng(3),
+                                 wall_lo=20.0 * target, wall_hi=40.0 * target)
+    xhat = np.vstack([deep, -20.0 * eta])
+    p = rs.pairings(xhat[-1:])[0]
+    pushed = xhat[-1] + np.max((target - p) / (rs.matrix @ eta)) * eta
+    monkeypatch.setattr(stepping, "_NEWTON_CAP", 0)     # returns the start itself
+    start, iters, res, ok = _newton_batch(rs, kv, xhat, h, 1e-10)
+    assert np.array_equal(ok, [True, True, True, False]) and not iters.any()
+    assert np.allclose(start[-1], pushed, rtol=0.0, atol=1e-12)
+    assert rs.pairings(start[-1:]).min() == pytest.approx(target, rel=1e-12)
+    monkeypatch.undo()
+    y, iters, res, ok = _newton_batch(rs, kv, xhat, h, 1e-10)
+    assert ok.all() and iters[-1] >= 1 and not iters[:-1].any()
+    assert rs.pairings(y).min() > 0.0
+    assert y[:-1].tobytes() == start[:-1].tobytes()
+
+
+@given(st.sampled_from(sorted(NEWTON_SYSTEMS)), st.floats(1e-3, 0.1),
        st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_solve_spd_matches_lapack(name, h, seed):
@@ -248,7 +296,7 @@ def test_solve_spd_matches_lapack(name, h, seed):
 
 def test_newton_batch_runs_without_lapack_solve(monkeypatch):
     """The Newton step is solved in numpy: with np.linalg.solve disabled,
-    batches on A(3), A(5) and B(3) still certify."""
+    batches on A(3), A(5) and B(3) reach Newton and still certify."""
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.solve called")
 
@@ -257,7 +305,7 @@ def test_newton_batch_runs_without_lapack_solve(monkeypatch):
         rs, k = NEWTON_SYSTEMS[name]
         kv = np.asarray(k)[rs.orbit_of]
         y, iters, res, ok = _newton_batch(rs, kv, _predictors(rs, 16, 5, 0.5), 0.05, 1e-10)
-        assert ok.all() and iters.min() >= 1
+        assert ok.all() and iters.max() >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +324,7 @@ def test_truncated_iterations_match_certificate():
     assert rho == pytest.approx(0.5)
     assert b0 == pytest.approx(2.0)
     assert m_star == math.ceil(math.log(1e-10 / b0) / math.log(rho))
-    # the explicit sweep that starts Newton lands on the solution -9.5, whose
+    # the explicit sweeps that start Newton land on the solution -9.5, whose
     # residual 0 certifies at once: no Newton iteration runs
     rep = solve_truncated_step(D1, [1.0], np.array([-10.0]), 0.5, eps=1.0)
     assert (rep.iterations, rep.residual) == (0, 0.0)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import GridError, ParameterError
 
 _U64 = 2 ** 64
+_DRAW_BYTES = 2 ** 18     # draw buffer size, one path at least
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,11 @@ def path_rng(master_seed: int, path_id: int) -> np.random.Generator:
 
 def batch_increments(r: int, finest_n: int, T: float, master_seed: int,
                      path_ids: np.ndarray) -> np.ndarray:
-    """Increments for many paths stacked as (m, finest_n, r)."""
+    """Increments for many paths as an (m, finest_n, r) view of time-major
+    storage, so step l's increments `inc[:, l]` are one contiguous row; a
+    path's values are its Philox stream scaled by sqrt(dt), bitwise."""
     grid = TimeGrid(n=finest_n, T=T)
     scale = np.sqrt(grid.dt)
-    out = np.empty((len(path_ids), finest_n, r))
     # One Philox per call, re-keyed per path to path_rng's fresh state
     # (counter zero, empty buffer); local, since chunks run on threads.
     bitgen = np.random.Philox(key=np.array([_check_seed("master_seed", master_seed), 0],
@@ -72,12 +74,25 @@ def batch_increments(r: int, finest_n: int, T: float, master_seed: int,
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
     key = fresh["state"]["key"]
-    for i, pid in enumerate(path_ids):
-        key[1] = _check_seed("path_id", int(pid))
-        bitgen.state = fresh
-        out[i] = gen.standard_normal((finest_n, r))
-    out *= scale
-    return out
+    ids = np.asarray(path_ids)
+    # `_check_seed` runs per id only where the dtype admits a bad one
+    valid = ids.dtype.kind == "u" or (ids.dtype.kind == "i" and ids.min(initial=0) >= 0)
+    ids = ids.tolist() if valid else [_check_seed("path_id", int(pid)) for pid in ids.tolist()]
+    out = np.empty((finest_n, len(ids), r))
+    # Groups of paths are drawn into one small buffer, scaled there and
+    # copied to their columns, each path-step's r values as one record.
+    size = max(1, _DRAW_BYTES // (8 * finest_n * r))
+    buf = np.empty((min(len(ids), size), finest_n, r))
+    rec = np.dtype((np.void, 8 * r))
+    for g in range(0, len(ids), size):
+        group = buf[:len(ids[g:g + size])]
+        for row, pid in zip(group, ids[g:g + size]):
+            key[1] = pid
+            bitgen.state = fresh
+            gen.standard_normal(out=row)
+        group *= scale
+        out.view(rec)[:, g:g + len(group), 0] = group.view(rec)[..., 0].T
+    return out.transpose(1, 0, 2)
 
 
 def coarsen(increments: np.ndarray, factor: int) -> np.ndarray:

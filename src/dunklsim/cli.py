@@ -42,11 +42,7 @@ from .scheme import _closed_form_ok, capped_step_bound, run_batch, truncation_le
 
 
 def _jsonable(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
+    if isinstance(o, (np.integer, np.floating, np.ndarray)):
         return o.tolist()
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
@@ -212,12 +208,7 @@ def _validate(m, samples: int, tol: float) -> dict:
 
 
 def _resolve_output_dir(cfg: ExperimentConfig, flag: str | None) -> str:
-    if flag:
-        return flag
-    env = os.environ.get("DUNKLSIM_OUTPUT_DIR")
-    if env:
-        return env
-    return cfg.output_dir
+    return flag or os.environ.get("DUNKLSIM_OUTPUT_DIR") or cfg.output_dir
 
 
 def cmd_run(args) -> int:

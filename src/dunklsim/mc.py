@@ -29,7 +29,7 @@ import numpy as np
 
 from .brownian import batch_increments, coarsen
 from .errors import FitError, GridError, ParameterError
-from .model import ModelSpec, bessel_model, moment_threshold
+from .model import ModelSpec, _dot, bessel_model, moment_threshold
 from .reductions import BLOCK, block_partials, mean_se_from_sums, path_mean_se, pairwise_sum
 from .scheme import SchemeConfig, run_batch
 
@@ -293,7 +293,7 @@ def negative_moments(m: ModelSpec, p: float, theta: float, n: int, M: int,
         states = run_batch(m, cfg, inc).states
         # one BLOCK at a time, so pairings and their powers never span the chunk
         for b in range(0, stop - start, BLOCK):
-            vals = (states[b:b + BLOCK] @ m.rs.matrix.T) ** (-p)   # (paths, n+1, n_roots)
+            vals = _dot(states[b:b + BLOCK], m.rs.matrix.T) ** (-p)   # (paths, n+1, n_roots)
             j = (start + b) // BLOCK
             block_partials(vals, s1, j)
             block_partials(vals * vals, s2, j)
@@ -353,8 +353,9 @@ def increment_scaling(m: ModelSpec, theta: float, n: int, M: int, lag_list,
                 if s == 0:
                     continue
                 diff = st[:, s:] - st[:, :-s]
+                # C order, so the time mean sums as on path-major states
                 per_path[start + b:start + b + len(st), j] = np.mean(
-                    np.sum(diff * diff, axis=2), axis=1)
+                    np.ascontiguousarray(np.sum(diff * diff, axis=2)), axis=1)
 
     _map_paths(m, n, M, master_seed, threads, work)
 

@@ -25,7 +25,10 @@ share the batch.  The root contractions are matrix products, which BLAS
 sums the same way for a row in any batch of two or more rows (gemm) but
 in another order for a single row (gemv); a batch of one path therefore
 runs as two copies of the path and keeps the first.  `audit_batch` does
-the same, and both build the predictor in `_predictor`.
+the same, and both build the predictor in `_predictor`.  Increments may
+come in any layout; those of `batch_increments` are time-major, like the
+states `run_batch` stores, so each step reads and writes contiguous rows,
+with the same bytes as on path-major arrays.
 """
 from __future__ import annotations
 
@@ -72,10 +75,11 @@ class SchemeConfig:
 class BatchPaths:
     """States and diagnostics of a batch run (internal to the engine).
 
-    `states[:, -1]` holds X(T); `first_violation` is a path's first step
-    outside the chamber (truncated variant), -1 when it never left;
-    `iterations` holds each step's Newton iterations after the solver's
-    explicit sweeps (0 for a step they or the closed form certify)."""
+    `states` (paths, times, d), `in_chamber` and `iterations` are views of
+    time-major storage.  `states[:, -1]` holds X(T); `first_violation` is a
+    path's first step outside the chamber (truncated variant), -1 when it
+    never left; `iterations` holds each step's Newton iterations after the
+    solver's explicit sweeps (0 for a step they or the closed form certify)."""
 
     states: np.ndarray
     first_violation: np.ndarray
@@ -169,12 +173,13 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
 
     if cfg.n % store_stride != 0:
         raise GridError(f"store stride {store_stride} does not divide n={cfg.n}")
-    states = np.empty((rows, cfg.n // store_stride + 1, rs.dim))
+    # time-major storage behind (rows, times, .) views: a step writes one row
+    states = np.empty((cfg.n // store_stride + 1, rows, rs.dim))
     x = np.tile(m.xi_array, (rows, 1))
-    states[:, 0] = x
+    states[0] = x
     first_violation = np.full(rows, -1, dtype=np.int64)
-    flags = np.ones((rows, cfg.n + 1), dtype=bool) if record_flags else None
-    iter_rec = np.zeros((rows, cfg.n), dtype=np.int32) if record_iterations else None
+    flags = np.ones((cfg.n + 1, rows), dtype=bool) if record_flags else None
+    iter_rec = np.zeros((cfg.n, rows), dtype=np.int32) if record_iterations else None
 
     for l in range(cfg.n):
         xhat = _predictor(m, cfg, grid, kvg, eps, l, x, inc[:, l], npaths)
@@ -190,19 +195,20 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
                     step=l + 1, path_ids=bad_ids.tolist(),
                     best=x[bad_ids[0]], residual=float(res[bad_ids[0]]))
         if iter_rec is not None:
-            iter_rec[:, l] = iters
+            iter_rec[l] = iters
         if truncated:
             bad = _dot(x, a.T).min(axis=1) <= 0.0
             first_violation[bad & (first_violation < 0)] = l + 1
             if flags is not None:
-                flags[:, l + 1] = ~bad
+                flags[l + 1] = ~bad
 
         if (l + 1) % store_stride == 0:
-            states[:, (l + 1) // store_stride] = x
+            states[(l + 1) // store_stride] = x
 
-    return BatchPaths(states=states[:npaths], first_violation=first_violation[:npaths],
-                      in_chamber=None if flags is None else flags[:npaths],
-                      iterations=None if iter_rec is None else iter_rec[:npaths])
+    return BatchPaths(states=states.transpose(1, 0, 2)[:npaths],
+                      first_violation=first_violation[:npaths],
+                      in_chamber=None if flags is None else flags.T[:npaths],
+                      iterations=None if iter_rec is None else iter_rec.T[:npaths])
 
 
 def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,

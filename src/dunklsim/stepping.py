@@ -179,20 +179,6 @@ def solve_truncated_step(rs: RootSystem, k_orbit, xhat, h: float, eps: float,
     return _reference(rs, kv, xhat, h, b0 * rho ** m_star, eps=eps)
 
 
-def step_residual(rs: RootSystem, k_orbit, xhat, h: float, y, eps: float | None = None) -> float:
-    """|y - xhat - h f(y)| with the exact drift (eps None) or capped drift."""
-    kv = _per_root_k(rs, k_orbit)
-    xhat = np.asarray(xhat, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p = rs.pairings(y)
-    if eps is None:
-        if np.min(p) <= 0.0:
-            raise ChamberError("exact-step residual needs y strictly inside the chamber")
-    elif not eps > 0.0:
-        raise ParameterError(f"cap level must be positive, got {eps}")
-    return float(np.linalg.norm(y - xhat - h * repulsion(rs.matrix, kv, p, eps), axis=-1))
-
-
 def fixed_point_certificate(rs: RootSystem, k_orbit, h: float, eps: float,
                             tol: float = _SOLVER_TOL) -> tuple[int, float, float]:
     """Sweep count m*, contraction factor rho and initial bound B0 of the

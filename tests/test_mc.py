@@ -220,6 +220,36 @@ def test_chunk_size_does_not_change_results(name, monkeypatch):
     assert sorted(set(sizes)) == [1, BLOCK]
 
 
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_estimators_bitwise_on_path_major_increments(name, monkeypatch):
+    # the engine's time-major increments and path-major copies of them
+    # give the same bytes: no estimator sums in a layout-dependent order
+    run = ESTIMATORS[name]
+    time_major = _bits(run(300, 5, 1))
+    draw = mc.batch_increments
+    monkeypatch.setattr(mc, "batch_increments",
+                        lambda *args: np.ascontiguousarray(draw(*args)))
+    assert _bits(run(300, 5, 1)) == time_major
+
+
+def test_increment_scaling_bitwise_on_contiguous_states():
+    # the per-path time mean sums as it does on C-ordered states; over more
+    # than 8 times numpy's pairwise sum makes that order visible
+    m = dyson_model(3, k=2.0)
+    n, M, lags = 128, 200, [0.0, 1 / 128, 5 / 128, 0.25]
+    rep = increment_scaling(m, 0.0, n, M, lags, 9)
+    inc = batch_increments(m.brownian_dim, n, m.T, 9, np.arange(M))
+    states = np.ascontiguousarray(run_batch(m, SchemeConfig("exact", 0.0, n), inc).states)
+    per_path = np.zeros((M, len(lags)))
+    for j, lag in enumerate(lags):
+        s = round(lag * n)
+        if s:
+            diff = states[:, s:] - states[:, :-s]
+            per_path[:, j] = np.mean(np.sum(diff * diff, axis=2), axis=1)
+    est, se = mc.path_mean_se(per_path)
+    assert _bits(rep)[1:3] == [est.tobytes(), se.tobytes()]
+
+
 def _traced_peak(run) -> int:
     run()                                                          # warm-up
     tracemalloc.start()

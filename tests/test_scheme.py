@@ -377,6 +377,28 @@ def test_one_path_batch_matches_its_row(name, variant):
         assert np.array_equal(audit_batch(m, cfg, inc[i:i + 1], one.states)[0], res[i])
 
 
+@pytest.mark.parametrize("name", ["D1", "A3", "B2", "A3+B2", "linear A3"])
+@pytest.mark.parametrize("variant", ["exact", "truncated"])
+def test_run_and_audit_bitwise_on_either_layout(name, variant):
+    """Run and audit give the same bytes on the time-major increments of
+    `batch_increments` and on path-major copies of them (and of the
+    states), one-path batches included."""
+    m = _linear_model("A3") if name == "linear A3" else MODELS[name]()
+    cfg = SchemeConfig(variant=variant, theta=0.25, n=32)
+    for count in (1, 6):
+        inc = batch_increments(m.brownian_dim, 32, m.T, 3, np.arange(count, dtype=np.uint64))
+        flat = np.ascontiguousarray(inc)
+        assert count == 1 or not inc.flags.c_contiguous
+        time_major, path_major = (run_batch(m, cfg, a, record_flags=True, record_iterations=True)
+                                  for a in (inc, flat))
+        for field in ("states", "first_violation", "in_chamber", "iterations"):
+            got, want = getattr(time_major, field), getattr(path_major, field)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+        audit = audit_batch(m, cfg, inc, time_major.states)
+        assert audit.tobytes() == audit_batch(
+            m, cfg, flat, np.ascontiguousarray(path_major.states)).tobytes()
+
+
 def test_iterations_recorded():
     m = dyson_model(3, k=4.0)
     cfg = SchemeConfig(variant="exact", theta=0.0, n=16)

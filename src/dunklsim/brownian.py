@@ -18,7 +18,8 @@ import numpy as np
 from .errors import GridError, ParameterError
 
 _U64 = 2 ** 64
-_DRAW_BYTES = 2 ** 18     # draw buffer size, one path at least
+_DRAW_BYTES = 2 ** 18     # draw buffer size, unless _DRAW_PATHS paths need more
+_DRAW_PATHS = 16          # smallest draw group, or every path of a smaller call
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def batch_increments(r: int, finest_n: int, T: float, master_seed: int,
     out = np.empty((finest_n, len(ids), r))
     # Groups of paths are drawn into one small buffer, scaled there and
     # copied to their columns, each path-step's r values as one record.
-    size = max(1, _DRAW_BYTES // (8 * finest_n * r))
+    size = max(1, min(_DRAW_PATHS, len(ids)), _DRAW_BYTES // (8 * finest_n * r))
     buf = np.empty((min(len(ids), size), finest_n, r))
     rec = np.dtype((np.void, 8 * r))
     for g in range(0, len(ids), size):

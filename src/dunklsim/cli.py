@@ -10,6 +10,14 @@ manifest.json listing every file written and the process's peak RSS.
 Files are written atomically (temp file + rename); `simulate` streams one
 chunk of paths at a time.
 
+CSV bytes are those of per-value formatting: '%.17g' for floats, '%d' for
+ints and flags.  The writer builds them in numpy, _GROUP_ROWS rows at a
+time, so its buffers stay under about 2 MB for any row count.  A float
+with 1e-4 <= |x| < 1e16, where %g writes fixed notation, is spelled from
+its correctly rounded 17-digit decimal, computed exactly with Dekker's
+error-free product; any other float (0, -0, nan, inf, tiny or huge) is
+formatted on its own, and each distinct int, flag or str value once.
+
 Exit codes: 0 success, 1 unwritable output, 2 invalid config or failed
 validation, 3 solver failure.
 
@@ -26,7 +34,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import groupby
 
 import numpy as np
 
@@ -49,11 +57,11 @@ def _jsonable(o):
 
 @contextmanager
 def _atomic_open(path: str):
-    """Write to path.tmp, renamed over path on success and removed on any
-    exception, so path is never left half written."""
+    """Write bytes to path.tmp, renamed over path on success and removed on
+    any exception, so path is never left half written."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -62,29 +70,159 @@ def _atomic_open(path: str):
         raise
 
 
-_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "U": "%s"}
+_GROUP_ROWS = 4096  # rows encoded at a time, which bounds the writer's buffers
+_TABLES = None      # the float encoder's lookup tables, built on first use
+
+
+def _tables():
+    """Lookup tables of the float encoder: 0..9999 as 4-byte texts and
+    their trailing decimal zeros, the byte masks of a float's 43-byte row
+    by (sign, decimal exponent X in [-4, 15], index of the last nonzero
+    digit), 5**q in Dekker halves and 10**j from j = -4.  The row reads
+    "-", "000" and the 17 digits, ".", "000" and the 17 digits again, ","."""
+    global _TABLES
+    if _TABLES is not None:
+        return _TABLES
+    n = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # the digits of 0..9999
+    words = (np.ascontiguousarray(n.T) + ord("0")).view(np.uint32)[:, 0]
+    z = (n == 0).astype(np.intp)
+    tz = z[3] * (1 + z[2] * (1 + z[1] * (1 + z[0])))
+    neg, X, last = np.arange(2)[:, None, None, None], np.arange(-4, 16)[:, None, None], \
+        np.arange(17)[:, None]
+    c = np.arange(43)
+    keep = np.select([c == 0, c < 21, c == 21, c < 42],
+                     [neg == 1, (3 - (X < 0) <= c - 1) & (c - 1 <= np.maximum(X, -1) + 3),
+                      (X < 0) | (last > X), (X + 4 <= c - 22) & (c - 22 <= last + 3)], True)
+    b = np.array([float(5 ** q) for q in range(23)])
+    bh = b * 134217729.0
+    bh -= bh - b
+    _TABLES = (words, tz, np.where(keep, 255, 0).astype(np.uint8).reshape(-1, 43), bh,
+               b - bh, np.array([float(f"1e{j}") for j in range(-4, 18)]))
+    for table in _TABLES:
+        table.flags.writeable = False
+    return _TABLES
+
+
+def _scaled(v, k, bh, bl):
+    """round-half-even(v * 10**(16 - k)) exactly: p + e = TwoProduct(v * 2**q,
+    5**q) (Dekker), where p >= 2**53 is an even integer, so ties go to even."""
+    q = 16 - k
+    a = np.ldexp(v, q)
+    bh, bl = np.take(bh, q), np.take(bl, q)
+    p = a * (bh + bl)
+    ah = a * 134217729.0
+    ah -= ah - a
+    al = a - ah
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p.astype(np.int64) + np.rint(e, out=e).astype(np.int64)
+
+
+def _float_text(x, tables, text) -> None:
+    """Write '%.17g' % x for the (rows, F) floats x into the (rows, F, 43)
+    byte view, NUL where a byte is not part of the text.  Values with
+    1e-4 <= |x| < 1e16, where %g uses fixed notation, are spelled from
+    their 17 exact digits; the rest (0, nan, inf, tiny or huge values) are
+    formatted one by one."""
+    words, tz, masks, bh, bl, pow10 = tables
+    x = x.ravel()
+    v = np.abs(x)
+    fixed = (v >= 1e-4) & (v < 1e16)
+    v[~fixed] = 1.0
+    # k = floor(log10(v)): binary exponent times log10(2) ~ 78913 / 2**18, then one test
+    k = ((v.view(np.int64) >> 52) - 1023).astype(np.int32) * 78913 >> 18
+    k += v >= np.take(pow10, k + 5)
+    N = _scaled(v, k, bh, bl)
+    off = (N >= 10 ** 17).astype(np.int32) - (N < 10 ** 16)
+    if (redo := np.flatnonzero(off)).size:  # N rounded up to 10**17
+        k[redo] += off[redo]
+        N[redo] = _scaled(v[redo], k[redo], bh, bl)
+        fixed[redo] &= (N[redo] >= 10 ** 16) & (N[redo] < 10 ** 17)
+    # N in 4-digit groups, the first holding digit 0 alone
+    g = np.empty((len(x), 5), np.intp)
+    for j, scale in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
+        g[:, j] = N // scale
+        N -= g[:, j] * scale
+    g[:, 4] = N
+    del v, N
+    last = 16 - np.take(tz, g[:, 4])
+    zero = np.flatnonzero(g[:, 4] == 0)
+    for j in (3, 2, 1):  # rows whose later groups are zero; tz[0] = 4 ends on digit 0
+        last[zero] = 4 * j - tz[g[zero, j]]
+        zero = zero[g[zero, j] == 0]
+    # each value's 20 digit bytes move as one record
+    digits = np.take(words, g).view("V20").reshape(text.shape[:2] + (1,))
+    del g
+    text[..., 0] = ord("-")
+    text[..., 1:21].view("V20")[...] = digits
+    text[..., 21] = ord(".")
+    text[..., 22:42].view("V20")[...] = digits
+    text[..., 42] = ord(",")
+    del digits
+    last += k * 17 + (np.signbit(x) * 340 + 68)
+    odd = np.flatnonzero(~fixed)
+    last[odd] = 0
+    text &= np.take(masks, last, axis=0).reshape(text.shape)
+    if odd.size:
+        s = np.array([b"%.17g" % f for f in x[odd].tolist()], dtype="S42")
+        text[np.divmod(odd, text.shape[1]) + (slice(0, 42),)] = s.view(np.uint8).reshape(-1, 42)
+
+
+def _text_field(c):
+    """The NUL-padded text of an int, bool, str or bytes column: each
+    distinct int, bool or str value is formatted once, then gathered;
+    bytes are the text."""
+    if c.dtype.kind != "S":
+        vals, inv = np.unique(c, return_inverse=True)
+        c = np.take(np.array([(v if c.dtype.kind == "U" else "%d" % v).encode()
+                              for v in vals.tolist()]), inv)
+    return np.ascontiguousarray(c).view(np.uint8).reshape(len(c), c.itemsize)
+
+
+def _encode_rows(cols, tables) -> np.ndarray:
+    """The CSV bytes of rows of equal-length columns: one byte matrix holds
+    every field and separator, padded with NULs, which are then dropped."""
+    rows = len(cols[0])
+    fields = []  # (width, field text or a run of float columns)
+    for is_float, run in groupby(cols, key=lambda c: c.dtype.kind not in "biuSU"):
+        if is_float:
+            run = np.stack(list(run), axis=1).astype(np.float64, copy=False)
+            fields.append((43 * run.shape[1], run))
+        else:
+            fields += [(t.shape[1] + 1, t) for t in map(_text_field, run)]
+    text = np.empty((rows, sum(w for w, _ in fields)), np.uint8)
+    at = 0
+    for w, field in fields:
+        t = text[:, at:at + w]
+        if field.dtype == np.uint8:
+            t[:, :-1] = field
+            t[:, -1] = ord(",")
+        else:
+            _float_text(field, tables, t.reshape(rows, -1, 43, copy=False))
+        at += w
+    text[:, -1] = ord("\n")
+    return text[text != 0]
 
 
 def _write_csv_blocks(out_dir: str, name: str, header: tuple[str, ...], blocks) -> int:
     """Write the header, then each block of columns (scalars broadcast) as
     rows; returns the row count.  A column's dtype fixes its text: %d for
-    int and bool, %.17g (17 significant digits) for float, and the string
-    itself for str (text formatted once, possibly several fields)."""
+    int and bool, %.17g (17 significant digits) for float, and the value
+    itself for str and bytes (a NUL in one is dropped)."""
+    tables = _tables()
     with _atomic_open(os.path.join(out_dir, name)) as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write((",".join(header) + "\n").encode())
         count = 0
         for block in blocks:
             cols = np.broadcast_arrays(*(np.atleast_1d(c) for c in block))
-            row = ",".join(_FORMATS.get(c.dtype.kind, "%.17g") for c in cols) + "\n"
-            fh.write((row * len(cols[0]))
-                     % tuple(chain.from_iterable(zip(*(c.tolist() for c in cols)))))
+            for lo in range(0, len(cols[0]), _GROUP_ROWS):
+                fh.write(_encode_rows([c[lo:lo + _GROUP_ROWS] for c in cols], tables))
             count += len(cols[0])
     return count
 
 
 def _write_json(out_dir: str, name: str, obj) -> None:
     with _atomic_open(os.path.join(out_dir, name)) as fh:
-        fh.write(json.dumps(obj, indent=2, default=_jsonable) + "\n")
+        fh.write((json.dumps(obj, indent=2, default=_jsonable) + "\n").encode())
 
 
 def _try_fit(curve):
@@ -108,21 +246,24 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str,
     if cfg.kind == "simulate":
         sch = s.resolve(cfg.n)
         # the "step,t" text of each time row, formatted once for every path
-        stamps = np.array(["%d,%.17g" % st for st in
+        stamps = np.array([b"%d,%.17g" % st for st in
                            zip(range(cfg.n + 1), TimeGrid(cfg.n, m.T).times.tolist())])
         chunk = _chunk_size(cfg.n, max(m.brownian_dim, m.dim))
+        group = max(1, _GROUP_ROWS // (cfg.n + 1))
         results = {"exited_paths": 0, "M": cfg.M, "n": cfg.n}
 
         def blocks():
-            # One chunk of paths at a time, in path order, one block per
-            # path; exited_paths is complete once the writer has drained this.
+            # One chunk of paths at a time, in path order, one block per group
+            # of paths; exited_paths is complete once the writer has drained this.
             for start in range(0, cfg.M, chunk):
                 ids = np.arange(start, min(start + chunk, cfg.M))
                 res = run_batch(m, sch, batch_increments(m.brownian_dim, cfg.n, m.T,
                                                          seed, ids), record_flags=True)
                 results["exited_paths"] += int(np.count_nonzero(res.first_violation >= 0))
-                for pid, x, flags in zip(ids, res.states, res.in_chamber):
-                    yield (pid, stamps, *x.T, flags)
+                for g in range(0, len(ids), group):
+                    x = res.states[g:g + group]
+                    yield (np.repeat(ids[g:g + group], cfg.n + 1), np.tile(stamps, len(x)),
+                           *x.reshape(-1, m.dim).T, res.in_chamber[g:g + group].ravel())
 
         csv = ("paths.csv", ("path_id", "step", "t", *(f"x_{i}" for i in range(m.dim)),
                              "in_chamber"), blocks())
@@ -278,13 +419,19 @@ def cmd_describe(args) -> int:
         grids.append(cfg.n)
     if cfg.n_ref is not None and cfg.n_ref not in grids:
         grids.append(cfg.n_ref)
+    min_pairing = float(np.min(m.rs.pairings(m.xi_array)))
     for n in sorted(grids):
         line = f"grid n = {n:<8d}: dt = {m.T / n:.17g}"
         if s.variant == "truncated":
             cfg_n = s.resolve(n)
-            line += (f", cap level = {truncation_level(m, cfg_n):.17g}, "
+            eps = truncation_level(m, cfg_n)
+            line += (f", min <alpha, xi> = {min_pairing:.17g}, cap level = {eps:.17g}, "
                      + ("closed-form step" if _closed_form_ok(m.rs)
                         else f"certified step error <= {capped_step_bound(m, cfg_n):.3e}"))
+            if eps > min_pairing:
+                line += (f"\nwarning: at n = {n} the cap level {eps:.4g} exceeds min "
+                         f"<alpha, xi> = {min_pairing:.4g}, so the capped drift already "
+                         "acts at the start point")
         print(line)
 
     if warning := threshold_warning(m, s.variant):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklsim import GridError, ParameterError
+from dunklsim import GridError, ParameterError, brownian
 from dunklsim.brownian import TimeGrid, batch_increments, coarsen, path_rng
 from dunklsim.reductions import (
     BLOCK,
@@ -53,6 +53,17 @@ def test_batch_rows_equal_path_rng_draws_bitwise():
         for row, pid in zip(batch, ids):
             want = path_rng(seed, pid).standard_normal((24, 2)) * math.sqrt(1.5 / 24)
             assert row.tobytes() == want.tobytes()
+
+
+def test_long_grid_groups_equal_path_rng_draws_bitwise():
+    # n = 8192, r = 2 leaves room for 2 paths in the buffer, so groups hold
+    # the 16-path floor; 40 ids make groups of 16, 16 and 8
+    n, ids = 8192, np.arange(5, 45, dtype=np.int64)
+    assert brownian._DRAW_BYTES // (8 * n * 2) < brownian._DRAW_PATHS < len(ids)
+    batch = batch_increments(2, n, 1.0, 11, ids)
+    for row, pid in zip(batch, ids.tolist()):
+        want = path_rng(11, pid).standard_normal((n, 2)) * math.sqrt(1.0 / n)
+        assert row.tobytes() == want.tobytes()
 
 
 def test_seed_range_validated():

@@ -5,6 +5,8 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from dunklsim.coefficients import LinearSigma
 from dunklsim.config import load_config
 from dunklsim.model import moment_threshold
 from dunklsim.scheme import truncation_level
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MODEL_A2 = {
     "root_system": {"type": "A", "d": 2},
@@ -116,6 +120,24 @@ def test_describe_quiet_when_guarantee_holds(tmp_path, capsys):
     assert rc == 0
     assert "warning" not in out
     assert "cap level" not in out                      # exact scheme has no cap
+
+
+def test_describe_warns_where_cap_level_exceeds_smallest_pairing(capsys):
+    # xi = (0.6, 0.3) on B(2): min <alpha, xi> = 0.3 (roots e2 and e1 - e2),
+    # and eps_n = 1.1 sqrt(30 / n) falls below it only at n = 512
+    assert main(["describe", str(CONFIGS / "type_b_exit.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = {int(line.split()[3]): i for i, line in enumerate(lines) if line.startswith("grid n")}
+    assert sorted(at) == [32, 64, 128, 256, 512]
+    eps = {n: float(lines[i].split("cap level = ")[1].split(",")[0]) for n, i in at.items()}
+    assert [round(eps[n], 3) for n in sorted(eps)] == [1.065, 0.753, 0.533, 0.377, 0.266]
+    for n in (32, 64, 128, 256):
+        assert ", min <alpha, xi> = 0.29999999999999999, cap level = " in lines[at[n]]
+        assert lines[at[n] + 1] == (f"warning: at n = {n} the cap level {eps[n]:.4g} exceeds "
+                                    "min <alpha, xi> = 0.3, so the capped drift already acts "
+                                    "at the start point")
+    assert lines[at[512] + 1:] == []
+    assert sum(line.startswith("warning: at n =") for line in lines) == 4
 
 
 def test_describe_and_validate_use_computed_linear_sigma_sup(tmp_path, capsys, monkeypatch):
@@ -384,6 +406,74 @@ def test_block_writer_matches_formatter_on_any_values(tmp_path_factory, rows):
     text, count = _written(tmp_path_factory.mktemp("w"), ("i", "x", "b"), blocks)
     assert count == len(rows)
     assert text == _oracle_csv(("i", "x", "b"), rows)
+
+
+def _float_lines(tmp_path, x) -> list[str]:
+    return _written(tmp_path, ("x",), [(x,)])[0].decode().split("\n")[1:-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_float_encoder_matches_format_on_raw_bit_patterns(tmp_path_factory, bits):
+    # every exponent, subnormals and nan payloads
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _float_lines(tmp_path_factory.mktemp("f"), x) == ["%.17g" % v for v in x.tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(1009, 1077), st.integers(0, 2 ** 52 - 1)),
+                min_size=1, max_size=64))
+def test_float_encoder_matches_format_around_fixed_notation(tmp_path_factory, parts):
+    # bit patterns with exponents 2^-14 .. 2^54, which %g writes in fixed
+    # notation (1e-4 <= |x| < 1e16) or just outside it
+    bits = [sign << 63 | exp << 52 | frac for sign, exp, frac in parts]
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _float_lines(tmp_path_factory.mktemp("f"), x) == ["%.17g" % v for v in x.tolist()]
+
+
+EDGES = [(2 ** 17 + 1) / 2 ** 17, (2 ** 17 + 3) / 2 ** 17,     # exact ties at 17 digits
+         1e-4, math.nextafter(1e-4, 0.0), 1e16, math.nextafter(1e16, 0.0),
+         *(10.0 ** k for k in range(-5, 18)), 0.99999999999999989, 9.9999999999999995e-5]
+
+
+def test_float_encoder_matches_format_on_edges(tmp_path):
+    x = np.array(EDGES + [-v for v in EDGES] + [0.0, -0.0])
+    lines = _float_lines(tmp_path, x)
+    assert lines == ["%.17g" % v for v in x.tolist()]
+    assert lines[:2] == ["1.0000076293945312", "1.0000228881835938"]   # ties to even
+
+
+def test_block_longer_than_row_group_equals_its_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_GROUP_ROWS", 64)
+    rng = np.random.default_rng(3)
+    n = 3 * 64 + 5
+    cols = (np.arange(n) - 50, rng.standard_normal(n) * 10.0 ** rng.integers(-6, 18, n),
+            np.array(["a", "", "xyz"])[rng.integers(0, 3, n)], rng.random(n) < 0.5,
+            np.array([b"1,0.5", b"", b"-7"])[rng.integers(0, 3, n)])
+    header = ("i", "x", "s", "b", "st")
+    (tmp_path / "whole").mkdir()
+    (tmp_path / "rows").mkdir()
+    whole, count = _written(tmp_path / "whole", header, [cols])
+    rows = [tuple(c[i] for c in cols) for i in range(n)]
+    assert (whole, count) == _written(tmp_path / "rows", header, rows)
+    lines = [",".join(header)] + [f"{i},{x:.17g},{s},{int(b)},{st.decode()}"
+                                  for i, x, s, b, st in rows]
+    assert whole == ("\n".join(lines) + "\n").encode()
+
+
+def test_writer_memory_bounded_by_row_group(tmp_path):
+    cli._tables()                          # built once per process, on first use
+    peaks = []
+    for rows in (20_000, 200_000):
+        cols = tuple(np.random.default_rng(rows).standard_normal((3, rows)))
+        tracemalloc.start()
+        try:
+            cli._write_csv_blocks(str(tmp_path), f"m{rows}.csv", ("a", "b", "c"), [cols])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4e6
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 # ---------------------------------------------------------------------------

@@ -475,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a JSON config")
     p_run.add_argument("--output-dir", default=None,
                        help="override the output directory")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="override the thread budget (results never depend on it)")
+    p_run.add_argument("--threads", type=_positive(int), default=None,
+                       help="override the thread budget (>= 1; results never depend on it)")
     p_run.set_defaults(func=cmd_run)
 
     p_desc = sub.add_parser("describe",

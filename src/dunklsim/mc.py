@@ -4,8 +4,9 @@ Conventions shared by every estimator here:
 
 * paths are keyed by (master_seed, path_id) with path ids 0..M-1, so any
   estimate is a pure function of its arguments;
-* cross-path reductions use the fixed pairwise tree from `reductions`,
-  making results independent of execution chunking and thread budget;
+* every mean and standard error is merged from per-block (sum, M2)
+  partials on the fixed pairwise tree of `reductions`, making results
+  independent of execution chunking and thread budget;
 * strong errors couple resolutions through one driver per path on the
   reference grid, coarsened by exact block sums: each grid is summed from
   the next finer one, which for power-of-two ratios is bitwise the same as
@@ -30,6 +31,7 @@ import numpy as np
 from .brownian import batch_increments, coarsen
 from .errors import FitError, GridError, ParameterError
 from .model import ModelSpec, _dot, bessel_model, moment_threshold
+# pairwise_sum is not called here; bench/tracing.py wraps it as mc.pairwise_sum
 from .reductions import BLOCK, block_partials, mean_se_from_sums, path_mean_se, pairwise_sum
 from .scheme import SchemeConfig, run_batch
 
@@ -285,8 +287,8 @@ def negative_moments(m: ModelSpec, p: float, theta: float, n: int, M: int,
     cfg = SchemeConfig("exact", theta, n)
     n_roots = m.rs.n_roots
     nblocks = -(-M // BLOCK)
-    s1 = np.zeros((nblocks, n + 1, n_roots))
-    s2 = np.zeros((nblocks, n + 1, n_roots))
+    sums = np.zeros((nblocks, n + 1, n_roots))
+    m2s = np.zeros((nblocks, n + 1, n_roots))
     sup_vals = np.zeros((M, n_roots)) if pathwise_sup else None
 
     def work(start, stop, inc):
@@ -294,17 +296,13 @@ def negative_moments(m: ModelSpec, p: float, theta: float, n: int, M: int,
         # one BLOCK at a time, so pairings and their powers never span the chunk
         for b in range(0, stop - start, BLOCK):
             vals = _dot(states[b:b + BLOCK], m.rs.matrix.T) ** (-p)   # (paths, n+1, n_roots)
-            j = (start + b) // BLOCK
-            block_partials(vals, s1, j)
-            block_partials(vals * vals, s2, j)
             if sup_vals is not None:
                 sup_vals[start + b:start + b + len(vals)] = vals.max(axis=1)
+            block_partials(vals, sums, m2s, (start + b) // BLOCK)   # overwrites vals
 
     _map_paths(m, n, M, master_seed, threads, work)
 
-    tot1 = pairwise_sum(s1)
-    tot2 = pairwise_sum(s2)
-    est, se = mean_se_from_sums(tot1, tot2, M)
+    est, se = mean_se_from_sums(sums, m2s, M)
     sup_est = sup_se = None
     if pathwise_sup:
         sup_est, sup_se = path_mean_se(sup_vals)

@@ -1,11 +1,12 @@
 """Deterministic reductions over Monte Carlo path ensembles.
 
-All cross-path sums in this package go through `path_sum`, which uses a
-fixed pairwise tree: paths are grouped into blocks of `BLOCK`, each block
-is summed by recursive halving, and the block partials are combined by the
-same rule.  The tree depends only on the number of paths, never on
-execution chunking or thread count, so ensemble statistics are bitwise
-reproducible.
+Every cross-path mean and standard error in this package comes from one
+partial form.  Paths are grouped into blocks of `BLOCK`; `block_partials`
+writes each block's pairwise sum and its sum of squared deviations from
+the block mean, and `mean_se_from_sums` merges the partials on the same
+pairwise tree (Chan, Golub & LeVeque, 1983).  The blocks and the tree
+depend only on the number of paths, never on execution chunking or
+thread count, so ensemble statistics are bitwise reproducible.
 """
 from __future__ import annotations
 
@@ -40,51 +41,43 @@ def pairwise_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def block_partials(values: np.ndarray, out: np.ndarray, first_block: int) -> None:
-    """Write per-BLOCK pairwise partial sums of `values` (paths on axis 0).
+def block_partials(values: np.ndarray, sums: np.ndarray, m2s: np.ndarray,
+                   first_block: int) -> None:
+    """Write each BLOCK of `values` (paths on axis 0): its pairwise sum to
+    `sums` and its sum of squared deviations from the block mean to `m2s`,
+    from index `first_block` on.
 
     `values` must start on a block boundary; only the final block of the
-    whole ensemble may be short.  Results go to out[first_block:...].
+    whole ensemble may be short.  The squares are taken in place, so
+    `values` (a float array) is overwritten.
     """
-    m = values.shape[0]
-    nb = -(-m // BLOCK)
-    for j in range(nb):
-        seg = values[j * BLOCK:(j + 1) * BLOCK]
-        out[first_block + j] = pairwise_sum(seg)
+    for j, b in enumerate(range(0, values.shape[0], BLOCK)):
+        seg = values[b:b + BLOCK]
+        s = pairwise_sum(seg)
+        sums[first_block + j] = s
+        seg -= s / seg.shape[0]
+        seg *= seg
+        m2s[first_block + j] = pairwise_sum(seg)
 
 
-def path_sum(values: np.ndarray) -> np.ndarray:
-    """Canonical deterministic sum over the path axis (axis 0)."""
-    m = values.shape[0]
-    if m <= BLOCK:
-        return pairwise_sum(values)
-    nb = -(-m // BLOCK)
-    parts = np.empty((nb,) + values.shape[1:], dtype=float)
-    block_partials(values, parts, 0)
-    return pairwise_sum(parts)
+def mean_se_from_sums(sums: np.ndarray, m2s: np.ndarray, m: int):
+    """Mean and standard error of the mean of m paths from their
+    `block_partials`; every block but the last holds BLOCK paths."""
+    mean = pairwise_sum(sums) / m
+    if m < 2:
+        return mean, np.zeros_like(mean)
+    n = np.full((len(sums),) + (1,) * (sums.ndim - 1), float(BLOCK))
+    n[-1] = m - BLOCK * (len(sums) - 1)
+    dev = sums / n - mean
+    m2 = pairwise_sum(m2s + n * dev * dev)
+    return mean, np.sqrt(m2 / (m - 1) / m)
 
 
 def path_mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of the mean over the path axis.
-
-    Uses centered sums so an ensemble of identical values reports zero
-    spread whenever the mean is exact.
-    """
+    """Mean and standard error of the mean over the path axis (axis 0)."""
+    values = np.array(values, dtype=float)
     m = values.shape[0]
-    mean = path_sum(values) / m
-    if m < 2:
-        return mean, np.zeros_like(mean)
-    dev = values - mean
-    var = path_sum(dev * dev) / (m - 1)
-    var = np.maximum(var, 0.0)
-    return mean, np.sqrt(var / m)
-
-
-def mean_se_from_sums(s1: np.ndarray, s2: np.ndarray, m: int):
-    """Mean and standard error from accumulated sum and sum of squares."""
-    mean = s1 / m
-    if m < 2:
-        return mean, np.zeros_like(mean)
-    var = (s2 - s1 * s1 / m) / (m - 1)
-    var = np.maximum(var, 0.0)
-    return mean, np.sqrt(var / m)
+    sums = np.empty((-(-m // BLOCK),) + values.shape[1:])
+    m2s = np.empty_like(sums)
+    block_partials(values, sums, m2s, 0)
+    return mean_se_from_sums(sums, m2s, m)

@@ -30,23 +30,6 @@ from .errors import ChamberError, DimensionError, ParameterError
 
 
 @dataclass(frozen=True)
-class Root:
-    """A single root vector."""
-
-    vector: tuple[float, ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise DimensionError("root must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("root coordinates must be finite")
-        if np.dot(v, v) == 0.0:
-            raise ParameterError("root vector must be nonzero")
-        object.__setattr__(self, "vector", tuple(float(c) for c in v))
-
-
-@dataclass(frozen=True)
 class AxiomReport:
     """Result of checking the two root-system axioms."""
 
@@ -66,13 +49,13 @@ class RootSystem:
     """A positive root system with an orbit partition.
 
     `orbits` lists, for each orbit, the indices into `positive_roots`.
-    Construction checks cheap structural invariants (consistent dimension,
-    orbit partition); the geometric axioms are verified by
+    Construction checks cheap structural invariants (finite nonzero roots
+    of length `dim`, orbit partition); the geometric axioms are verified by
     `validate_axioms`, which preset constructors are guaranteed to pass.
     """
 
     dim: int
-    positive_roots: tuple[Root, ...]
+    positive_roots: tuple[tuple[float, ...], ...]
     orbits: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -80,12 +63,20 @@ class RootSystem:
             raise DimensionError(f"dimension must be >= 1, got {self.dim}")
         if not self.positive_roots:
             raise ParameterError("a root system needs at least one positive root")
-        roots = tuple(r if isinstance(r, Root) else Root(tuple(r)) for r in self.positive_roots)
-        object.__setattr__(self, "positive_roots", roots)
-        for r in roots:
-            if len(r.vector) != self.dim:
-                raise DimensionError(
-                    f"root {r.vector} does not live in dimension {self.dim}")
+        roots = []
+        for r in self.positive_roots:
+            v = np.asarray(r, dtype=float)
+            if v.ndim != 1 or v.size == 0:
+                raise DimensionError("root must be a nonempty 1-d vector")
+            if not np.all(np.isfinite(v)):
+                raise ParameterError("root coordinates must be finite")
+            if np.dot(v, v) == 0.0:
+                raise ParameterError("root vector must be nonzero")
+            roots.append(tuple(float(c) for c in v))
+        object.__setattr__(self, "positive_roots", tuple(roots))
+        for r in self.positive_roots:
+            if len(r) != self.dim:
+                raise DimensionError(f"root {r} does not live in dimension {self.dim}")
         orbits = tuple(tuple(int(i) for i in orb) for orb in self.orbits)
         object.__setattr__(self, "orbits", orbits)
         seen = sorted(i for orb in orbits for i in orb)
@@ -105,7 +96,7 @@ class RootSystem:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Positive roots stacked as rows, shape (n_roots, dim)."""
-        m = np.array([r.vector for r in self.positive_roots], dtype=float)
+        m = np.array(self.positive_roots, dtype=float)
         m.flags.writeable = False
         return m
 
@@ -161,7 +152,7 @@ def make_type_a(d: int) -> RootSystem:
         for j in range(i + 1, d):
             v = np.zeros(d)
             v[i], v[j] = 1.0, -1.0
-            roots.append(Root(tuple(v)))
+            roots.append(tuple(v))
     return RootSystem(dim=d, positive_roots=tuple(roots),
                       orbits=(tuple(range(len(roots))),))
 
@@ -175,15 +166,15 @@ def make_type_b(d: int) -> RootSystem:
         for j in range(i + 1, d):
             v = np.zeros(d)
             v[i], v[j] = 1.0, -1.0
-            roots.append(Root(tuple(v)))
+            roots.append(tuple(v))
             w = np.zeros(d)
             w[i], w[j] = 1.0, 1.0
-            roots.append(Root(tuple(w)))
+            roots.append(tuple(w))
     long_orbit = tuple(range(len(roots)))
     for i in range(d):
         v = np.zeros(d)
         v[i] = 1.0
-        roots.append(Root(tuple(v)))
+        roots.append(tuple(v))
     short_orbit = tuple(range(len(long_orbit), len(roots)))
     return RootSystem(dim=d, positive_roots=tuple(roots),
                       orbits=(long_orbit, short_orbit))
@@ -195,11 +186,8 @@ def direct_sum(a: RootSystem, b: RootSystem) -> RootSystem:
     Orbits of the summands stay distinct orbits of the sum.
     """
     dim = a.dim + b.dim
-    roots = []
-    for r in a.positive_roots:
-        roots.append(Root(tuple(r.vector) + (0.0,) * b.dim))
-    for r in b.positive_roots:
-        roots.append(Root((0.0,) * a.dim + tuple(r.vector)))
+    roots = [r + (0.0,) * b.dim for r in a.positive_roots]
+    roots += [(0.0,) * a.dim + r for r in b.positive_roots]
     orbits = tuple(tuple(orb) for orb in a.orbits)
     offset = a.n_roots
     orbits += tuple(tuple(i + offset for i in orb) for orb in b.orbits)

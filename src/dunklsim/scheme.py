@@ -155,6 +155,8 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
               record_iterations: bool = False) -> BatchPaths:
     """Advance a batch of paths; increments must be (paths, n, r) on the
     scheme's own grid."""
+    if store_stride < 1 or cfg.n % store_stride != 0:
+        raise GridError(f"store stride {store_stride} is not a positive divisor of n={cfg.n}")
     inc = _checked_increments(m, cfg, increments)
     npaths = inc.shape[0]
     inc = _twin(inc)
@@ -171,8 +173,6 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     tols = (_step_bounds(m, cfg, grid) if truncated and not closed_form
             else [stepping._SOLVER_TOL] * cfg.n)
 
-    if cfg.n % store_stride != 0:
-        raise GridError(f"store stride {store_stride} does not divide n={cfg.n}")
     # time-major storage behind (rows, times, .) views: a step writes one row
     states = np.empty((cfg.n // store_stride + 1, rows, rs.dim))
     x = np.tile(m.xi_array, (rows, 1))

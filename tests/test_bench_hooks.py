@@ -77,6 +77,32 @@ def test_tracer_installs_and_records_spans(tmp_path, monkeypatch, capsys):
     assert steps == 100 * (16 + 4 + 8)
 
 
+def test_tracer_sees_the_moment_reductions(tmp_path, monkeypatch, capsys):
+    # d=1 moments over two blocks: the per-time partials of both blocks
+    # are merged, and the pathwise sup goes through path_mean_se
+    for mod in (cli, mc):
+        for name, value in list(vars(mod).items()):
+            if callable(value) and not isinstance(value, type):
+                monkeypatch.setattr(mod, name, value)
+    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    tracer.enabled = True
+
+    doc = json.loads((ROOT / "configs" / "bessel_moments.json").read_text())
+    doc["run"].update({"M": 1030, "n": 4})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert doc["experiment"]["pathwise_sup"] is True
+    assert cli.main(["run", "--output-dir", str(tmp_path / "out"), str(cfg)]) == 0
+    capsys.readouterr()
+
+    spans = [span for span in tracer.records() if span["layer"] == "reductions"]
+    for name in ("block_partials", "mean_se_from_sums", "path_mean_se"):
+        ours = [span for span in spans if span["name"] == f"reductions.{name}"]
+        assert ours and all(span["counts"]["bytes"] > 0 for span in ours), name
+    assert sum(span["name"] == "reductions.block_partials" for span in spans) == 2
+
+
 @pytest.mark.parametrize("name", CONFIGS)
 def test_bench_and_shipped_configs_parse_and_describe(name, tmp_path, capsys):
     path = tmp_path / "cfg.json"

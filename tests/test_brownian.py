@@ -151,13 +151,19 @@ def test_block_partials_split_invariance():
     rng = np.random.default_rng(8)
     m = 3 * BLOCK + 100
     x = rng.normal(size=(m, 2))
-    whole = np.zeros((4, 2))
-    block_partials(x, whole, 0)
-    split = np.zeros((4, 2))
+    whole = np.zeros((4, 2)), np.zeros((4, 2))
+    block_partials(x.copy(), *whole, 0)
+    split = np.zeros((4, 2)), np.zeros((4, 2))
     cut = 2 * BLOCK
-    block_partials(x[:cut], split, 0)
-    block_partials(x[cut:], split, 2)
-    assert np.array_equal(whole, split)
+    block_partials(x[:cut].copy(), *split, 0)
+    block_partials(x[cut:].copy(), *split, 2)
+    assert np.array_equal(whole[0], split[0])
+    assert np.array_equal(whole[1], split[1])
+    # the last block is the short one
+    last = x[3 * BLOCK:]
+    assert np.array_equal(whole[0][3], pairwise_sum(last))
+    assert whole[1][3] == pytest.approx(np.sum((last - last.mean(axis=0)) ** 2, axis=0),
+                                        rel=1e-12)
 
 
 def test_path_mean_se_basics():
@@ -176,9 +182,39 @@ def test_path_mean_se_matches_numpy():
 
 
 def test_mean_se_from_sums_consistent():
+    # partials written in two calls merge to what path_mean_se reports
     rng = np.random.default_rng(4)
-    v = rng.normal(size=(1000, 2))
+    m = 2 * BLOCK + 500
+    v = rng.normal(size=(m, 2))
+    sums, m2s = np.zeros((3, 2)), np.zeros((3, 2))
+    block_partials(v[:BLOCK].copy(), sums, m2s, 0)
+    block_partials(v[BLOCK:].copy(), sums, m2s, 1)
+    mean, se = mean_se_from_sums(sums, m2s, m)
     m1, s1 = path_mean_se(v)
-    m2, s2 = mean_se_from_sums(pairwise_sum(v), pairwise_sum(v ** 2), 1000)
-    assert m1 == pytest.approx(m2, abs=1e-14)
-    assert s1 == pytest.approx(s2, abs=1e-14)
+    assert np.array_equal(mean, m1) and np.array_equal(se, s1)
+    assert mean == pytest.approx(v.mean(axis=0), abs=1e-14)
+    assert se == pytest.approx(v.std(axis=0, ddof=1) / math.sqrt(m), rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [1e4, 1e8])
+@given(m=st.integers(2, 5000), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_path_mean_se_matches_two_pass_fsum(offset, m, seed):
+    # offset + N(0, 1): the raw s2 - s1^2/m formula loses about 2 log10(offset)
+    # digits here.  One block is the two-pass formula itself.  Across blocks,
+    # each block mean is a double, off by about an ulp of the offset, and
+    # enters the merged M2 to first order (Chan, Golub & LeVeque's kappa eps
+    # term): about 4e-18 * offset relative, so 1e-12 holds to offset 1e5.
+    x = offset + np.random.default_rng(seed).normal(size=m)
+    mean, se = path_mean_se(x)
+    ref_mean = math.fsum(x) / m
+    ref_se = math.sqrt(math.fsum((v - ref_mean) ** 2 for v in x) / (m - 1) / m)
+    assert mean == pytest.approx(ref_mean, rel=1e-12)
+    tol = 1e-12 if m <= BLOCK else max(1e-12, 1e-16 * offset)
+    assert se == pytest.approx(ref_se, rel=tol)
+
+
+def test_path_mean_se_leaves_its_input():
+    v = np.arange(3000.0).reshape(1500, 2)
+    path_mean_se(v)
+    assert np.array_equal(v, np.arange(3000.0).reshape(1500, 2))

@@ -270,6 +270,16 @@ def test_rerun_and_thread_budgets_byte_identical(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_run_rejects_nonpositive_threads(tmp_path, capsys, threads):
+    cfg = _write(tmp_path, _simulate_cfg(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--threads", threads, cfg])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _record_batches(monkeypatch, fail_call=None):
     """Wrap cli.run_batch to record each call's path count; from call number
     `fail_call` on, the solver tolerance is one no step can certify."""

@@ -155,6 +155,9 @@ def test_absent_or_non_object_block_is_one_problem(block, value, message):
     ({"model__k": [4.0, "x"]}, "$.model.k[1]: expected a finite number"),
     ({"model__T": 10 ** 400}, "$.model.T: expected a finite number"),
     ({"scheme__solver_tol": 1e-10}, "$.scheme.solver_tol: unknown key"),   # a fixed constant
+    ({"model__root_system": {"type": "custom", "dim": 2, "roots": [[1.0, -1.0], [0.0, 0.0]],
+                             "orbits": [[0, 1]]}},
+     "$.model.root_system: root vector must be nonzero"),
 ])
 def test_each_problem_reported_once(edits, problem):
     assert _problems(_cfg(**edits)) == [problem]

@@ -354,6 +354,13 @@ def test_negative_moments_pathwise_sup():
     assert np.all(sup >= np.asarray(rep.estimates).max(axis=1) - 1e-12)
 
 
+def test_negative_moments_deterministic_ensemble_has_no_spread():
+    # sigma0 = 0: every path is the same, so the per-time standard errors
+    # are rounding residue of the merge, three blocks of which one short
+    rep = negative_moments(bessel_model(k=1.0, sigma0=0.0), 2.0, 0.25, 64, 3000, 7)
+    assert np.all(np.asarray(rep.std_errors) <= 1e-15)
+
+
 def test_negative_moments_reject_negative_power():
     with pytest.raises(ParameterError):
         negative_moments(dyson_model(2, k=4.0), -1.0, 0.0, 8, 200, 1)

@@ -17,20 +17,20 @@ from dunklsim import (
     pairing_identity_residual,
     validate_axioms,
 )
-from dunklsim.roots import Root, min_pairing
+from dunklsim.roots import min_pairing
 
 
 # ---------------------------------------------------------------------------
 # construction
 
 def test_root_rejects_zero_vector():
-    with pytest.raises(ParameterError):
-        Root((0.0, 0.0))
+    with pytest.raises(ParameterError, match="root vector must be nonzero"):
+        RootSystem(dim=2, positive_roots=((1.0, 0.0), (0.0, 0.0)), orbits=((0, 1),))
 
 
 def test_root_rejects_nonfinite():
-    with pytest.raises(ParameterError):
-        Root((1.0, math.nan))
+    with pytest.raises(ParameterError, match="root coordinates must be finite"):
+        RootSystem(dim=2, positive_roots=((1.0, math.nan),), orbits=((0,),))
 
 
 def test_type_a_counts():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dunklsim import (
     DimensionError,
+    GridError,
     ParameterError,
     PathSolverError,
     RootSystem,
@@ -218,6 +219,14 @@ def test_store_stride_subsamples():
     strided = run_batch(m, cfg, inc, store_stride=4)
     assert strided.states.shape == (8, 5, 2)
     assert np.array_equal(strided.states, full.states[:, ::4, :])
+
+
+@pytest.mark.parametrize("stride", [0, -1, -8])
+def test_store_stride_must_be_positive(stride):
+    m = dyson_model(2, k=4.0)
+    cfg = SchemeConfig(variant="exact", theta=0.0, n=16)
+    with pytest.raises(GridError, match="positive divisor"):
+        run_batch(m, cfg, _paths(m, 16, 2), store_stride=stride)
 
 
 @pytest.mark.parametrize("rs, variant, xi", [(make_type_a(3), "exact", (1.0, 0.0, -1.0)),

@@ -13,7 +13,9 @@ Conventions shared by every estimator here:
   summing it from `n_ref`; the reference solution is the same scheme run
   at `n_ref`;
 * paths run in chunks of at most `_MAX_CHUNK`, a multiple of `BLOCK`, so
-  memory is bounded by one chunk whatever M is.
+  memory is bounded by one chunk whatever M is;
+* an estimator that reads states one time at a time hands `run_batch` a
+  consumer, so a chunk holds one slab of its states, not the whole grid.
 
 RMS errors are reported with delta-method standard errors: if m is the
 mean of the per-path squared sup error and s its standard error, the
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +94,13 @@ def _map_paths(m: ModelSpec, n: int, M: int, master_seed: int, threads: int,
         for start in starts:
             run(start)
         return
+    from concurrent.futures import ThreadPoolExecutor   # about 10 ms to import
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(run, starts))
+
+
+def _discard(first_step, states) -> None:
+    """A `run_batch` consumer that keeps no states."""
 
 
 def threshold_warning(m: ModelSpec, variant: str) -> str | None:
@@ -156,7 +162,16 @@ def strong_error(m: ModelSpec, theta: float, n_list, n_ref: int, M: int,
     sup2 = np.zeros((M, len(ns)))
 
     def work(start, stop, inc):
-        ref = run_batch(m, cfg_ref, inc, store_stride=ref_stride)
+        # the reference states at the finest coarse grid's times, in
+        # time-major storage like the engine's
+        ref = np.empty((n_max + 1, stop - start, m.dim)).transpose(1, 0, 2)
+
+        def keep(first, states):
+            t0 = -(-first // ref_stride)          # first kept time at or after `first`
+            kept = states[:, t0 * ref_stride - first::ref_stride]
+            ref[:, t0:t0 + kept.shape[1]] = kept
+
+        run_batch(m, cfg_ref, inc, consume=keep)
         # finest to coarsest, each grid summed from the one before it
         prev, n_prev = inc, n_ref
         for j, n in reversed(list(enumerate(ns))):
@@ -164,7 +179,7 @@ def strong_error(m: ModelSpec, theta: float, n_list, n_ref: int, M: int,
                 continue
             prev, n_prev = coarsen(prev, n_prev // n), n
             res = run_batch(m, SchemeConfig(variant, theta, n, c), prev)
-            diff = res.states - ref.states[:, ::n_max // n]
+            diff = res.states - ref[:, ::n_max // n]
             sup2[start:stop, j] = np.sum(diff * diff, axis=2).max(axis=1)
 
     _map_paths(m, n_ref, M, master_seed, threads, work)
@@ -289,16 +304,23 @@ def negative_moments(m: ModelSpec, p: float, theta: float, n: int, M: int,
     nblocks = -(-M // BLOCK)
     sums = np.zeros((nblocks, n + 1, n_roots))
     m2s = np.zeros((nblocks, n + 1, n_roots))
-    sup_vals = np.zeros((M, n_roots)) if pathwise_sup else None
+    sup_vals = np.full((M, n_roots), -np.inf) if pathwise_sup else None
 
     def work(start, stop, inc):
-        states = run_batch(m, cfg, inc).states
-        # one BLOCK at a time, so pairings and their powers never span the chunk
-        for b in range(0, stop - start, BLOCK):
-            vals = _dot(states[b:b + BLOCK], m.rs.matrix.T) ** (-p)   # (paths, n+1, n_roots)
-            if sup_vals is not None:
-                sup_vals[start + b:start + b + len(vals)] = vals.max(axis=1)
-            block_partials(vals, sums, m2s, (start + b) // BLOCK)   # overwrites vals
+        def reduce(t0, states):
+            # every statistic is elementwise in time, so slabs of times
+            # reduce to the bytes of the whole grid; one BLOCK at a time,
+            # so pairings and their powers never span the chunk
+            t1 = t0 + states.shape[1]
+            for b in range(0, stop - start, BLOCK):
+                vals = _dot(states[b:b + BLOCK], m.rs.matrix.T) ** (-p)   # (paths, k, n_roots)
+                if sup_vals is not None:
+                    rows = sup_vals[start + b:start + b + len(vals)]
+                    np.maximum(rows, vals.max(axis=1), out=rows)
+                block_partials(vals, sums[:, t0:t1], m2s[:, t0:t1],
+                               (start + b) // BLOCK)   # overwrites vals
+
+        run_batch(m, cfg, inc, consume=reduce)
 
     _map_paths(m, n, M, master_seed, threads, work)
 
@@ -408,8 +430,8 @@ def chamber_exit(m: ModelSpec, theta: float, c: float, n_list, M: int,
         cfg = SchemeConfig("truncated", theta, n, c)
 
         def work(start, stop, inc):
-            # only the exit steps are read, so store no state but the last
-            exited[start:stop] = run_batch(m, cfg, inc, store_stride=n).first_violation >= 0
+            # only the exit steps are read, so keep no states
+            exited[start:stop] = run_batch(m, cfg, inc, consume=_discard).first_violation >= 0
 
         _map_paths(m, n, M, master_seed, threads, work)
         counts.append(int(exited.sum()))
@@ -460,7 +482,7 @@ def cir_mean_check(k0: float, sigma0: float, lam0: float, xi: float, T: float,
     finals = np.zeros(M)
 
     def work(start, stop, inc):
-        finals[start:stop] = run_batch(m, cfg, inc, store_stride=n).states[:, -1, 0]
+        finals[start:stop] = run_batch(m, cfg, inc, consume=_discard).states[:, -1, 0]
 
     _map_paths(m, n, M, master_seed, threads, work)
     mean, se = path_mean_se(finals ** 2)

@@ -114,6 +114,13 @@ class RootSystem:
         return o
 
     @cached_property
+    def lift(self) -> np.ndarray:
+        """alpha / |alpha|^2 per positive root, shape (n_roots, dim)."""
+        v = self.matrix / self.norms_sq[:, None]
+        v.flags.writeable = False
+        return v
+
+    @cached_property
     def orbit_of(self) -> np.ndarray:
         """Orbit index for each root, shape (n_roots,)."""
         lab = np.empty(self.n_roots, dtype=int)

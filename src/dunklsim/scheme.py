@@ -29,6 +29,10 @@ the same, and both build the predictor in `_predictor`.  Increments may
 come in any layout; those of `batch_increments` are time-major, like the
 states `run_batch` stores, so each step reads and writes contiguous rows,
 with the same bytes as on path-major arrays.
+
+States go into one time-major slab: the whole grid, or, for a run given
+a consumer, `_SLAB_STEPS` times reused and handed to it each time it
+fills, so such a run never holds more than one slab of states.
 """
 from __future__ import annotations
 
@@ -46,6 +50,9 @@ from .roots import RootSystem
 from .stepping import _certificate, _failure_text, _newton_batch, _orthogonal_batch, _twin
 
 VARIANTS = ("exact", "truncated")
+
+# times per slab when `run_batch` streams its states to a consumer
+_SLAB_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -76,10 +83,12 @@ class BatchPaths:
     """States and diagnostics of a batch run (internal to the engine).
 
     `states` (paths, times, d), `in_chamber` and `iterations` are views of
-    time-major storage.  `states[:, -1]` holds X(T); `first_violation` is a
-    path's first step outside the chamber (truncated variant), -1 when it
-    never left; `iterations` holds each step's Newton iterations after the
-    solver's explicit sweeps (0 for a step they or the closed form certify)."""
+    time-major storage.  `states` holds every grid time, or the last slab
+    of a run given a consumer; either way `states[:, -1]` holds X(T).
+    `first_violation` is a path's first step outside the chamber
+    (truncated variant), -1 when it never left; `iterations` holds each
+    step's Newton iterations after the solver's explicit sweeps (0 for a
+    step they or the closed form certify)."""
 
     states: np.ndarray
     first_violation: np.ndarray
@@ -151,12 +160,17 @@ def _checked_increments(m: ModelSpec, cfg: SchemeConfig, increments) -> np.ndarr
 
 
 def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
-              store_stride: int = 1, record_flags: bool = False,
+              consume=None, record_flags: bool = False,
               record_iterations: bool = False) -> BatchPaths:
     """Advance a batch of paths; increments must be (paths, n, r) on the
-    scheme's own grid."""
-    if store_stride < 1 or cfg.n % store_stride != 0:
-        raise GridError(f"store stride {store_stride} is not a positive divisor of n={cfg.n}")
+    scheme's own grid.
+
+    Without `consume` the result holds every state.  With it, the states
+    go, one slab of at most `_SLAB_STEPS` times at a time, to
+    consume(first_step, states), a (paths, k, d) view of times first_step
+    .. first_step+k-1 whose buffer the next slab overwrites; the result
+    then holds the last slab.  Flags and iteration counts cover the whole
+    grid either way."""
     inc = _checked_increments(m, cfg, increments)
     npaths = inc.shape[0]
     inc = _twin(inc)
@@ -173,10 +187,12 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     tols = (_step_bounds(m, cfg, grid) if truncated and not closed_form
             else [stepping._SOLVER_TOL] * cfg.n)
 
-    # time-major storage behind (rows, times, .) views: a step writes one row
-    states = np.empty((cfg.n // store_stride + 1, rows, rs.dim))
+    # time-major slab behind (rows, times, .) views: a step writes one row
+    slab = np.empty((cfg.n + 1 if consume is None else min(_SLAB_STEPS, cfg.n + 1),
+                     rows, rs.dim))
     x = np.tile(m.xi_array, (rows, 1))
-    states[0] = x
+    slab[0] = x
+    first, filled = 0, 1
     first_violation = np.full(rows, -1, dtype=np.int64)
     flags = np.ones((cfg.n + 1, rows), dtype=bool) if record_flags else None
     iter_rec = np.zeros((cfg.n, rows), dtype=np.int32) if record_iterations else None
@@ -202,10 +218,16 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
             if flags is not None:
                 flags[l + 1] = ~bad
 
-        if (l + 1) % store_stride == 0:
-            states[(l + 1) // store_stride] = x
+        if filled == len(slab):
+            consume(first, slab.transpose(1, 0, 2)[:npaths])
+            first, filled = first + filled, 0
+        slab[filled] = x
+        filled += 1
 
-    return BatchPaths(states=states.transpose(1, 0, 2)[:npaths],
+    states = slab[:filled].transpose(1, 0, 2)[:npaths]
+    if consume is not None:
+        consume(first, states)
+    return BatchPaths(states=states,
                       first_violation=first_violation[:npaths],
                       in_chamber=None if flags is None else flags.T[:npaths],
                       iterations=None if iter_rec is None else iter_rec.T[:npaths])

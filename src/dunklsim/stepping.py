@@ -116,10 +116,9 @@ def _orthogonal_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float
     s = _quadratic_root(shat, h, kn)
     if eps is not None:
         s = np.where(s >= eps, s, shat + h * kn / eps)
-    lift = a / rs.norms_sq[:, None]
-    y = _dot(s, lift)
+    y = _dot(s, rs.lift)
     if rs.n_roots < rs.dim:
-        y += xhat - _dot(shat, lift)
+        y += xhat - _dot(shat, rs.lift)
     return y
 
 

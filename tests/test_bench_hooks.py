@@ -17,7 +17,7 @@ import pytest
 
 import dunklsim.cli as cli
 import dunklsim.mc as mc
-from dunklsim import SchemeConfig, load_config
+from dunklsim import SchemeConfig, load_config, scheme
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
@@ -78,8 +78,9 @@ def test_tracer_installs_and_records_spans(tmp_path, monkeypatch, capsys):
 
 
 def test_tracer_sees_the_moment_reductions(tmp_path, monkeypatch, capsys):
-    # d=1 moments over two blocks: the per-time partials of both blocks
-    # are merged, and the pathwise sup goes through path_mean_se
+    # d=1 moments over two blocks and three slabs of states: the per-time
+    # partials of every block and slab are merged, the pathwise sup goes
+    # through path_mean_se, and a streamed run holds one slab of states
     for mod in (cli, mc):
         for name, value in list(vars(mod).items()):
             if callable(value) and not isinstance(value, type):
@@ -89,7 +90,8 @@ def test_tracer_sees_the_moment_reductions(tmp_path, monkeypatch, capsys):
     tracer.enabled = True
 
     doc = json.loads((ROOT / "configs" / "bessel_moments.json").read_text())
-    doc["run"].update({"M": 1030, "n": 4})
+    M, n = 1030, 130
+    doc["run"].update({"M": M, "n": n})
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert doc["experiment"]["pathwise_sup"] is True
@@ -100,7 +102,11 @@ def test_tracer_sees_the_moment_reductions(tmp_path, monkeypatch, capsys):
     for name in ("block_partials", "mean_se_from_sums", "path_mean_se"):
         ours = [span for span in spans if span["name"] == f"reductions.{name}"]
         assert ours and all(span["counts"]["bytes"] > 0 for span in ours), name
-    assert sum(span["name"] == "reductions.block_partials" for span in spans) == 2
+    slabs = -(-(n + 1) // scheme._SLAB_STEPS)
+    assert sum(span["name"] == "reductions.block_partials" for span in spans) == 2 * slabs
+    runs = [span["counts"] for span in tracer.records() if span["name"] == "scheme.run_batch"]
+    assert runs and all(c["path_steps"] == M * n for c in runs)
+    assert all(c["state_bytes"] <= 8 * M * (n + scheme._SLAB_STEPS) for c in runs)
 
 
 @pytest.mark.parametrize("name", CONFIGS)

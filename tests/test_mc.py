@@ -26,7 +26,7 @@ from dunklsim import (
     strong_error,
     type_b_model,
 )
-from dunklsim import mc
+from dunklsim import mc, scheme
 from dunklsim.mc import ErrorCurve, wilson_interval
 from dunklsim.brownian import batch_increments, coarsen
 from dunklsim.reductions import BLOCK
@@ -133,11 +133,11 @@ def test_strong_error_chained_coarsening_matches_direct_bitwise(n_list):
     n_ref, M, seed = 128, 128, 7
     cur = strong_error(m, 0.25, n_list, n_ref, M, seed)
     inc = batch_increments(m.brownian_dim, n_ref, m.T, seed, np.arange(M))
-    ref = run_batch(m, SchemeConfig("exact", 0.25, n_ref), inc, store_stride=n_ref // 32)
+    ref = run_batch(m, SchemeConfig("exact", 0.25, n_ref), inc)
     sup2 = np.zeros((M, len(n_list)))              # the n_ref row stays zero
     for j, n in enumerate(n for n in n_list if n < n_ref):
         res = run_batch(m, SchemeConfig("exact", 0.25, n), coarsen(inc, n_ref // n))
-        diff = res.states - ref.states[:, ::32 // n]
+        diff = res.states - ref.states[:, ::n_ref // n]
         sup2[:, j] = np.sum(diff * diff, axis=2).max(axis=1)
     rms, ses = zip(*map(mc._rms, *mc.path_mean_se(sup2)))
     assert cur.rms_errors == rms and cur.std_errors == ses
@@ -220,6 +220,47 @@ def test_chunk_size_does_not_change_results(name, monkeypatch):
     assert sorted(set(sizes)) == [1, BLOCK]
 
 
+# the estimators that stream states to a consumer, as m -> result; their
+# finest grid has 32 steps
+SLABBED = {
+    "negative_moments": lambda m: negative_moments(m, 2.0, 0.25, 32, 2 * BLOCK + 1, 5,
+                                                   pathwise_sup=True),
+    "strong_error": lambda m: strong_error(m, 0.25, [4, 8], 32, 2 * BLOCK + 1, 5),
+    "chamber_exit": lambda m: chamber_exit(m, 0.0, 1.1, [16, 32], 2 * BLOCK + 1, 5),
+    "cir_mean_check": lambda m: cir_mean_check(1.0, 1.0, 0.5, 1.0, 1.0, theta=0.0, n=32,
+                                               M=2 * BLOCK + 1, master_seed=5),
+}
+SLAB_MODELS = {"d1": lambda: bessel_model(k=4.0), "A3": lambda: dyson_model(3, k=4.0)}
+
+
+@pytest.mark.parametrize("name, model", [(name, model) for name in sorted(SLABBED)
+                                         for model in sorted(SLAB_MODELS)
+                                         if name != "cir_mean_check" or model == "d1"])
+def test_state_slabs_do_not_change_results(name, model, monkeypatch):
+    # slabs of 1, 3 and 7 times split every grid unevenly, and one-block
+    # chunks with M = 2 blocks + 1 split the paths unevenly; slabs of 33
+    # times hold the whole finest grid, as storing every state did
+    monkeypatch.setattr(mc, "_MAX_CHUNK", BLOCK)
+    results = []
+    for slab in (33, 1, 3, 7):
+        monkeypatch.setattr(scheme, "_SLAB_STEPS", slab)
+        results.append(_bits(SLABBED[name](SLAB_MODELS[model]())))
+    assert all(bits == results[0] for bits in results[1:])
+
+
+def test_negative_moments_memory_does_not_grow_with_states():
+    # from n = 2^10 to 2^12 the traced peak may grow by the increments and
+    # a few arrays of the per-block partials' shape (the partials, the
+    # grid's times and strengths), not by the states: they stream in slabs
+    m = bessel_model(k=4.0)
+    M, grown = 1024, 2 ** 12 - 2 ** 10
+    peaks = [_traced_peak(lambda: negative_moments(m, 2.0, 0.25, n, M, 1, pathwise_sup=True))
+             for n in (2 ** 10, 2 ** 12)]
+    increments = 8 * M * grown * m.brownian_dim
+    partials = 8 * -(-M // BLOCK) * grown * m.rs.n_roots
+    assert peaks[1] - peaks[0] <= increments + 8 * partials
+
+
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
 def test_estimators_bitwise_on_path_major_increments(name, monkeypatch):
     # the engine's time-major increments and path-major copies of them
@@ -284,12 +325,12 @@ def test_increment_scaling_memory_bounded_by_one_chunk():
 
 
 def test_chamber_exit_memory_bounded_by_increments():
-    # one chunk's increments and final states, plus one step's working
+    # one chunk's increments, one slab of states and one step's working
     # arrays: a few numbers per path and root, whatever n is
     m = type_b_model(2, k_long=5.0, k_short=5.0, xi=(0.6, 0.3))
     M, n = 1024, 256
     peak = _traced_peak(lambda: chamber_exit(m, 0.0, 1.1, [n], M, 1))
-    chunk = 8 * M * (n * m.brownian_dim + 2 * m.dim)
+    chunk = 8 * M * (n * m.brownian_dim + scheme._SLAB_STEPS * m.dim)
     assert peak < chunk + 16 * 8 * M * m.rs.n_roots
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dunklsim import (
     DimensionError,
-    GridError,
     ParameterError,
     PathSolverError,
     RootSystem,
@@ -30,7 +29,7 @@ from dunklsim import (
     strong_error,
     type_b_model,
 )
-from dunklsim import stepping
+from dunklsim import scheme, stepping
 from dunklsim.brownian import batch_increments
 from dunklsim.coefficients import DiagonalSigma, LinearSigma, ZeroDrift
 from dunklsim.model import ModelSpec
@@ -211,22 +210,30 @@ def test_single_path_matches_batch_row():
     assert np.array_equal(one.states[0], out.states[5])
 
 
-def test_store_stride_subsamples():
-    m = dyson_model(2, k=4.0)
-    cfg = SchemeConfig(variant="exact", theta=0.0, n=16)
+@pytest.mark.parametrize("slab", [1, 3, 7, 64])
+@pytest.mark.parametrize("variant", ["exact", "truncated"])
+def test_consumer_sees_every_state_in_slabs(slab, variant, monkeypatch):
+    # a consumer keeping every 4th time gets the full run's states[:, ::4];
+    # the slabs cover times 0..n in order, and the result is the last slab
+    monkeypatch.setattr(scheme, "_SLAB_STEPS", slab)
+    m = dyson_model(3, k=4.0)
+    cfg = SchemeConfig(variant=variant, theta=0.25, n=16)
     inc = _paths(m, 16, 2)
-    full = run_batch(m, cfg, inc)
-    strided = run_batch(m, cfg, inc, store_stride=4)
-    assert strided.states.shape == (8, 5, 2)
-    assert np.array_equal(strided.states, full.states[:, ::4, :])
+    full = run_batch(m, cfg, inc, record_flags=True, record_iterations=True)
+    firsts, kept = [], []
 
+    def keep(first, states):
+        assert states.shape[0] == 8 and states.shape[1] <= slab
+        firsts.append(first)
+        kept.extend(states[:, t - first].copy() for t in range(first, first + states.shape[1])
+                    if t % 4 == 0)
 
-@pytest.mark.parametrize("stride", [0, -1, -8])
-def test_store_stride_must_be_positive(stride):
-    m = dyson_model(2, k=4.0)
-    cfg = SchemeConfig(variant="exact", theta=0.0, n=16)
-    with pytest.raises(GridError, match="positive divisor"):
-        run_batch(m, cfg, _paths(m, 16, 2), store_stride=stride)
+    out = run_batch(m, cfg, inc, consume=keep, record_flags=True, record_iterations=True)
+    assert firsts == list(range(0, 17, slab))
+    assert np.array_equal(np.stack(kept, axis=1), full.states[:, ::4])
+    assert np.array_equal(out.states, full.states[:, firsts[-1]:])
+    for field in ("first_violation", "in_chamber", "iterations"):
+        assert np.array_equal(getattr(out, field), getattr(full, field))
 
 
 @pytest.mark.parametrize("rs, variant, xi", [(make_type_a(3), "exact", (1.0, 0.0, -1.0)),
@@ -430,7 +437,11 @@ ORTHOGONAL = {
 
 def test_closed_form_only_for_orthogonal_roots():
     for make in ORTHOGONAL.values():
-        assert _closed_form_ok(make(1.0).rs)
+        rs = make(1.0).rs
+        assert _closed_form_ok(rs)
+        # the closed form lifts by the cached, read-only alpha / |alpha|^2
+        assert rs.lift is rs.lift and not rs.lift.flags.writeable
+        assert np.array_equal(rs.lift, rs.matrix / rs.norms_sq[:, None])
     skew = RootSystem(dim=2, positive_roots=((1.0, 0.0), (1.0, 1.0)), orbits=((0, 1),))
     for rs in (make_type_a(3), make_type_b(2), skew):
         assert not _closed_form_ok(rs)

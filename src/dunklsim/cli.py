@@ -414,11 +414,7 @@ def cmd_describe(args) -> int:
     else:
         print(f"moment threshold   : {p_star:.17g}")
 
-    grids = list(cfg.n_list or ())
-    if cfg.n is not None and cfg.n not in grids:
-        grids.append(cfg.n)
-    if cfg.n_ref is not None and cfg.n_ref not in grids:
-        grids.append(cfg.n_ref)
+    grids = {n for n in (*(cfg.n_list or ()), cfg.n, cfg.n_ref) if n is not None}
     min_pairing = float(np.min(m.rs.pairings(m.xi_array)))
     for n in sorted(grids):
         line = f"grid n = {n:<8d}: dt = {m.T / n:.17g}"

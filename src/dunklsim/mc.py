@@ -15,7 +15,9 @@ Conventions shared by every estimator here:
 * paths run in chunks of at most `_MAX_CHUNK`, a multiple of `BLOCK`, so
   memory is bounded by one chunk whatever M is;
 * an estimator that reads states one time at a time hands `run_batch` a
-  consumer, so a chunk holds one slab of its states, not the whole grid.
+  consumer, so a chunk holds one slab of its states, not the whole grid;
+* `chamber_exit` draws a chunk once, on its finest grid, and advances every
+  grid in lockstep on prefixes of that draw (`scheme._lockstep`).
 
 RMS errors are reported with delta-method standard errors: if m is the
 mean of the per-path squared sup error and s its standard error, the
@@ -34,7 +36,7 @@ from .errors import FitError, GridError, ParameterError
 from .model import ModelSpec, _dot, bessel_model, moment_threshold
 # pairwise_sum is not called here; bench/tracing.py wraps it as mc.pairwise_sum
 from .reductions import BLOCK, block_partials, mean_se_from_sums, path_mean_se, pairwise_sum
-from .scheme import SchemeConfig, run_batch
+from .scheme import SchemeConfig, _lockstep, run_batch
 
 _CHUNK_BUDGET_BYTES = 192 * 2 ** 20
 _MAX_CHUNK = 4096
@@ -77,17 +79,18 @@ def _chunk_size(n_fine: int, r: int) -> int:
 
 
 def _map_paths(m: ModelSpec, n: int, M: int, master_seed: int, threads: int,
-               work) -> None:
+               work, unit: bool = False) -> None:
     """Run work(start, stop, increments) over consecutive chunks of paths
-    0..M-1, each with its increments on the n-step grid.  The split is a
-    pure function of (n, M, model), so thread budget never changes any
-    result."""
+    0..M-1, each with its increments on the n-step grid, or with `unit` its
+    unit-scale normals (dt = n / n = 1 exactly).  The split is a pure
+    function of (n, M, model), so thread budget never changes any result."""
     r = m.brownian_dim
     chunk = _chunk_size(n, max(r, m.dim))
+    horizon = float(n) if unit else m.T
 
     def run(start):
         stop = min(start + chunk, M)
-        work(start, stop, batch_increments(r, n, m.T, master_seed, np.arange(start, stop)))
+        work(start, stop, batch_increments(r, n, horizon, master_seed, np.arange(start, stop)))
 
     starts = range(0, M, chunk)
     if threads <= 1 or len(starts) <= 1:
@@ -418,23 +421,26 @@ def chamber_exit(m: ModelSpec, theta: float, c: float, n_list, M: int,
     slope regresses log fraction on log n over entries with >= 5 exits
     (None with fewer than 3 distinct such n).  Only the truncated variant
     runs: the exact one preserves the chamber by construction.
+
+    Each chunk draws its paths' normals once, at unit scale on the finest
+    grid, and runs every distinct n in lockstep on prefixes of them: a
+    grid's increments are bitwise those it would draw itself, so each count
+    is that of its own run.
     """
     ns = tuple(int(n) for n in n_list)
     if not ns:
         raise ParameterError("need at least one grid size")
     if warning := threshold_warning(m, "truncated"):
         warnings.warn(warning, stacklevel=2)
-    counts = []
-    for n in ns:
-        exited = np.zeros(M, dtype=bool)
-        cfg = SchemeConfig("truncated", theta, n, c)
+    cfgs = [SchemeConfig("truncated", theta, n, c) for n in sorted(set(ns), reverse=True)]
+    exited = np.zeros((len(cfgs), M), dtype=bool)
 
-        def work(start, stop, inc):
-            # only the exit steps are read, so keep no states
-            exited[start:stop] = run_batch(m, cfg, inc, consume=_discard).first_violation >= 0
+    def work(start, stop, normals):
+        exited[:, start:stop] = _lockstep(m, cfgs, normals, unit=True) >= 0
 
-        _map_paths(m, n, M, master_seed, threads, work)
-        counts.append(int(exited.sum()))
+    _map_paths(m, cfgs[0].n, M, master_seed, threads, work, unit=True)
+    count = {cfg.n: int(row.sum()) for cfg, row in zip(cfgs, exited)}
+    counts = [count[n] for n in ns]
 
     fractions = tuple(cnt / M for cnt in counts)
     lows, highs = [], []

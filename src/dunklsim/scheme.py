@@ -19,9 +19,11 @@ it, the capped step to the error its certificate allows.
 
 `run_batch` is the only way to simulate: it advances a batch of paths in
 lockstep from their increments (`brownian.batch_increments`), and a
-single path is a batch of one (`path_ids=np.array([i])`).  Per-path
-arithmetic is elementwise, so a row does not depend on which other paths
-share the batch.  The root contractions are matrix products, which BLAS
+single path is a batch of one (`path_ids=np.array([i])`).  Its step loop,
+`_lockstep`, also advances one batch on several grids at once, each on a
+prefix of the finest grid's normals, for `mc.chamber_exit`; a run is its
+one-grid case.  Per-path arithmetic is elementwise, so a row does not
+depend on which other paths share the batch.  The root contractions are matrix products, which BLAS
 sums the same way for a row in any batch of two or more rows (gemm) but
 in another order for a single row (gemv); a batch of one path therefore
 runs as two copies of the path and keeps the first.  `audit_batch` does
@@ -53,6 +55,11 @@ VARIANTS = ("exact", "truncated")
 
 # times per slab when `run_batch` streams its states to a consumer
 _SLAB_STEPS = 64
+# A capped solver call stacks as many whole grids as this many rows hold
+# (one grid of a larger batch).  Past it a call's fixed cost, about 70 us, is
+# a small share of its time, and each stacked row adds ~600 B of working
+# arrays (B(2)).
+_CALL_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -170,67 +177,135 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     consume(first_step, states), a (paths, k, d) view of times first_step
     .. first_step+k-1 whose buffer the next slab overwrites; the result
     then holds the last slab.  Flags and iteration counts cover the whole
-    grid either way."""
+    grid either way.  The steps are those of `_lockstep` on one grid."""
     inc = _checked_increments(m, cfg, increments)
     npaths = inc.shape[0]
-    inc = _twin(inc)
-    rows = inc.shape[0]
-    grid = TimeGrid(cfg.n, m.T)
-    rs = m.rs
-    a = rs.matrix
-    kvg = m.k_at(grid.times)
-    truncated = cfg.variant == "truncated"
-    eps = truncation_level(m, cfg) if truncated else None
-    h = (1.0 - cfg.theta) * grid.dt
-    closed_form = _closed_form_ok(rs)
-    # the capped step stops at the residual its certificate allows
-    tols = (_step_bounds(m, cfg, grid) if truncated and not closed_form
-            else [stepping._SOLVER_TOL] * cfg.n)
-
+    rows = max(npaths, 2) if npaths else 0       # a lone path runs twinned
     # time-major slab behind (rows, times, .) views: a step writes one row
     slab = np.empty((cfg.n + 1 if consume is None else min(_SLAB_STEPS, cfg.n + 1),
-                     rows, rs.dim))
-    x = np.tile(m.xi_array, (rows, 1))
-    slab[0] = x
+                     rows, m.dim))
+    slab[0] = m.xi_array
     first, filled = 0, 1
-    first_violation = np.full(rows, -1, dtype=np.int64)
     flags = np.ones((cfg.n + 1, rows), dtype=bool) if record_flags else None
     iter_rec = np.zeros((cfg.n, rows), dtype=np.int32) if record_iterations else None
 
-    for l in range(cfg.n):
-        xhat = _predictor(m, cfg, grid, kvg, eps, l, x, inc[:, l], npaths)
-        kv = kvg[l + 1]
-        if closed_form:
-            x, iters = _orthogonal_batch(rs, kv, xhat, h, eps), 0
-        else:
-            x, iters, res, ok = _newton_batch(rs, kv, xhat, h, tols[l], eps=eps)
-            if not ok.all():
-                bad_ids = np.nonzero(~ok[:npaths])[0]
-                raise PathSolverError(
-                    f"implicit step failed at step {l + 1}: {_failure_text(iters[bad_ids])}",
-                    step=l + 1, path_ids=bad_ids.tolist(),
-                    best=x[bad_ids[0]], residual=float(res[bad_ids[0]]))
+    def store(l, x, iters, bad):
+        nonlocal first, filled
         if iter_rec is not None:
             iter_rec[l] = iters
-        if truncated:
-            bad = _dot(x, a.T).min(axis=1) <= 0.0
-            first_violation[bad & (first_violation < 0)] = l + 1
-            if flags is not None:
-                flags[l + 1] = ~bad
-
+        if flags is not None and bad is not None:
+            flags[l + 1] = ~bad
         if filled == len(slab):
             consume(first, slab.transpose(1, 0, 2)[:npaths])
             first, filled = first + filled, 0
         slab[filled] = x
         filled += 1
 
+    first_violation = _lockstep(m, [cfg], inc, on_step=store)[0]
     states = slab[:filled].transpose(1, 0, 2)[:npaths]
     if consume is not None:
         consume(first, states)
-    return BatchPaths(states=states,
-                      first_violation=first_violation[:npaths],
+    return BatchPaths(states=states, first_violation=first_violation,
                       in_chamber=None if flags is None else flags.T[:npaths],
                       iterations=None if iter_rec is None else iter_rec.T[:npaths])
+
+
+def _lockstep(m: ModelSpec, cfgs: list[SchemeConfig], inc: np.ndarray, unit: bool = False,
+              on_step=None) -> np.ndarray:
+    """Advance one batch of paths on every grid of `cfgs` (one variant,
+    theta and c; n strictly decreasing) in lockstep; returns each grid's
+    first violations, (grids, paths).
+
+    Grid j reads the first n_j of the finest grid's increments `inc`
+    (paths, n_0, r), or, with `unit`, of unit-scale normals times its own
+    sqrt(dt): bitwise its own `brownian.batch_increments`.  Step l advances
+    the grids with n_j > l, a prefix of `cfgs`, each from its predictor at
+    its own t_l.  A capped solver call then takes the rows of up to
+    `_CALL_ROWS // paths` grids with per-row h, eps, tolerance and
+    strengths; any other call holds one grid and takes scalars.  Rows are
+    elementwise, so no grid's paths depend on which grids share a call.
+    A failed step raises `PathSolverError` with the grid's step and path
+    ids, the finest grid first.  With one grid, on_step(l, x, iters, bad)
+    sees each step: the states at t_{l+1} (a lone path twinned), solver
+    iterations and, truncated, which rows are outside the chamber.
+    """
+    npaths = inc.shape[0]
+    inc = _twin(inc)
+    rows = inc.shape[0]
+    rs = m.rs
+    a = rs.matrix
+    truncated = cfgs[0].variant == "truncated"
+    closed_form = _closed_form_ok(rs)
+    grids = [TimeGrid(cfg.n, m.T) for cfg in cfgs]
+    kvg = [m.k_at(grid.times) for grid in grids]
+    eps = [truncation_level(m, cfg) if truncated else None for cfg in cfgs]
+    h = [(1.0 - cfg.theta) * grid.dt for cfg, grid in zip(cfgs, grids)]
+    # the capped step stops at the residual its certificate allows
+    tols = [_step_bounds(m, cfg, grid) if truncated and not closed_form
+            else [stepping._SOLVER_TOL] * cfg.n for cfg, grid in zip(cfgs, grids)]
+    scales = [np.sqrt(grid.dt) if unit else None for grid in grids]
+    per_call = max(1, _CALL_ROWS // max(npaths, 1)) if truncated else 1
+    # each group's grids [j0, j1), with the per-row h and eps of its stacked
+    # calls as the leading rows of one array each
+    groups = []
+    for j0 in range(0, len(cfgs), per_call):
+        j1 = min(j0 + per_call, len(cfgs))
+        groups.append((j0, j1, None if j1 - j0 == 1 else (
+            np.repeat(h[j0:j1], rows * rs.dim).reshape(-1, rs.dim),
+            np.repeat(eps[j0:j1], rows * rs.n_roots).reshape(-1, rs.n_roots))))
+    steady = all((kv == kvg[0][0]).all() for kv in kvg)     # k constant in time
+
+    x = [np.tile(m.xi_array, (rows, 1))] * len(cfgs)
+    first_violation = np.full((len(cfgs), rows), -1, dtype=np.int64)
+    live, ends = len(cfgs), [cfg.n for cfg in cfgs]
+    for l in range(ends[0]):
+        while ends[live - 1] <= l:
+            live -= 1
+        for j0, j1, stack in groups:
+            if j0 >= live:
+                break
+            if j1 > live:
+                j1 = live
+            db = inc[:, l]
+            if j1 - j0 == 1:
+                xhat = _predictor(m, cfgs[j0], grids[j0], kvg[j0], eps[j0], l, x[j0],
+                                  db if scales[j0] is None else db * scales[j0], npaths)
+                hj, ej, tol, kv = h[j0], eps[j0], tols[j0][l], kvg[j0][l + 1]
+            else:
+                xhat = np.concatenate([
+                    _predictor(m, cfgs[j], grids[j], kvg[j], eps[j], l, x[j],
+                               db if scales[j] is None else db * scales[j], npaths)
+                    for j in range(j0, j1)])
+                hj, ej = stack[0][:len(xhat)], stack[1][:len(xhat)]
+                tol = np.repeat([tols[j][l] for j in range(j0, j1)], rows)
+                kv = kvg[0][l + 1] if steady else np.repeat(
+                    np.array([kvg[j][l + 1] for j in range(j0, j1)]), rows, axis=0)
+            if closed_form:
+                y, iters = _orthogonal_batch(rs, kv, xhat, hj, ej), 0
+            else:
+                y, iters, res, ok = _newton_batch(rs, kv, xhat, hj, tol, eps=ej)
+                if not ok.all():    # name the first failing grid's paths
+                    failed = ~ok.reshape(j1 - j0, rows)[:, :npaths]
+                    j = int(np.argmax(failed.any(axis=1)))
+                    bad_ids = np.nonzero(failed[j])[0]
+                    at = j * rows + bad_ids
+                    raise PathSolverError(
+                        f"implicit step failed at step {l + 1}: {_failure_text(iters[at])}",
+                        step=l + 1, path_ids=bad_ids.tolist(),
+                        best=y[at[0]], residual=float(res[at[0]]))
+            bad = None
+            if truncated:
+                bad = _dot(y, a.T).min(axis=1) <= 0.0
+                fv = first_violation[j0:j1].reshape(-1)
+                fv[bad & (fv < 0)] = l + 1
+            if j1 - j0 == 1:
+                x[j0] = y
+            else:
+                for j in range(j0, j1):
+                    x[j] = y[(j - j0) * rows:(j - j0 + 1) * rows]
+            if on_step is not None:
+                on_step(l, y, iters, bad)
+    return first_violation[:, :npaths]
 
 
 def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,

@@ -108,11 +108,13 @@ def _orthogonal_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float
 
     where the first bracket, the part of xhat orthogonal to every root, is
     skipped when the roots span R^d.  For d = 1 with root [1.0] this is
-    `_quadratic_root` bitwise.
+    `_quadratic_root` bitwise.  The capped step also takes per-row
+    parameters, as `_newton_batch` does.
     """
     a = rs.matrix
     kn = kv * rs.norms_sq
     shat = _dot(xhat, a.T)
+    h = _per_root(h)
     s = _quadratic_root(shat, h, kn)
     if eps is not None:
         s = np.where(s >= eps, s, shat + h * kn / eps)
@@ -215,6 +217,12 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
     start certifies); a path stops at residual <= tol, after `_NEWTON_CAP`
     iterations, or stalled when no trial is taken (none passes, or one
     rounds to the iterate), which every later iteration would repeat.
+
+    The capped step also takes one set of parameters per row, for batches
+    that stack several grids: h (m, d) and eps (m, n_roots) as full arrays,
+    which cost about half what (m, 1) columns do, tol (m,), and kv
+    (m, n_roots) or one (n_roots,) row for all.  Each row's arithmetic is
+    then that of its own scalars, bitwise.
     """
     a = rs.matrix
     m, d = xhat.shape
@@ -252,6 +260,7 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
     res = np.sqrt(_rows(g * g, np.add))
     iters = np.zeros(m, dtype=int)
     live = res > tol
+    per_row = isinstance(tol, np.ndarray)
 
     for _ in range(_NEWTON_CAP):
         count = int(np.count_nonzero(live))
@@ -263,9 +272,11 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
         idx = slice(None) if full else np.resize(
             np.flatnonzero(live), min(m, max(2, 1 << (count - 1).bit_length())))
         ya, pa, ga, r, xa = y[idx], p[idx], g[idx], res[idx], xhat[idx]
-        w = h * kv / (pa * pa)
+        ha, ka, ea, ta = ((h[idx], kv[idx] if kv.ndim == 2 else kv, eps[idx], tol[idx])
+                          if per_row else (h, kv, eps, tol))
+        w = _per_root(ha) * ka / (pa * pa)
         if eps is not None:
-            w[pa <= eps] = 0.0
+            w[pa <= ea] = 0.0
         hess = w @ rs.outer
         hess[:, ::d + 1] += 1.0
         step = _solve_spd(hess, -ga)
@@ -282,10 +293,10 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
             ptrial = trial @ a.T
             if eps is None:
                 inside = _rows(ptrial, np.minimum) > 0.0
-                gtrial = trial - xa - h * repulsion(a, kv, np.where(ptrial > 0.0, ptrial, np.inf))
+                gtrial = trial - xa - ha * repulsion(a, ka, np.where(ptrial > 0.0, ptrial, np.inf))
             else:
                 inside = True
-                gtrial = trial - xa - h * repulsion(a, kv, ptrial, eps)
+                gtrial = trial - xa - ha * repulsion(a, ka, ptrial, ea)
             rtrial = np.sqrt(_rows(gtrial * gtrial, np.add))
             done = settled | _rows(trial == ya, np.logical_and)
             take = ~done & inside & (rtrial <= (1.0 - _ARMIJO * t) * r)
@@ -303,7 +314,7 @@ def _newton_batch(rs: RootSystem, kv: np.ndarray, xhat: np.ndarray, h: float,
         else:
             y[idx], p[idx], g[idx], res[idx] = ya, pa, ga, r
         iters[idx] += 1  # once per path, also for a repeated row
-        live[idx] = (r > tol) & settled  # an unsettled row has stalled
+        live[idx] = (r > ta) & settled  # an unsettled row has stalled
     return y, iters, res, res <= tol
 
 
@@ -311,6 +322,12 @@ def _failure_text(iters: np.ndarray) -> str:
     """How unconverged Newton paths stopped: below `_NEWTON_CAP`, stalled."""
     capped = int(np.count_nonzero(iters >= _NEWTON_CAP))
     return f"{iters.size - capped} stalled, {capped} hit the cap of {_NEWTON_CAP} iterations"
+
+
+def _per_root(h):
+    """A step weight to scale per-root arrays: a scalar itself, per-row
+    weights (m, d) as their (m, 1) first column."""
+    return h[:, :1] if isinstance(h, np.ndarray) else h
 
 
 def _rows(u: np.ndarray, op) -> np.ndarray:

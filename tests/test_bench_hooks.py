@@ -109,6 +109,33 @@ def test_tracer_sees_the_moment_reductions(tmp_path, monkeypatch, capsys):
     assert all(c["state_bytes"] <= 8 * M * (n + scheme._SLAB_STEPS) for c in runs)
 
 
+def test_tracer_sees_one_draw_per_chamber_exit_chunk(tmp_path, monkeypatch, capsys):
+    # the typeb-exit workload on fewer paths: every grid of a chunk reads the
+    # finest grid's one draw, so the draws hold M * max(n) * r normals
+    for mod in (cli, mc):
+        for name, value in list(vars(mod).items()):
+            if callable(value) and not isinstance(value, type):
+                monkeypatch.setattr(mod, name, value)
+    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    tracer.enabled = True
+
+    doc = _WORKLOADS.make_config("typeb-exit", 3)
+    M, n_list = 100, [8, 32, 16, 32]
+    doc["run"].update({"M": M, "n_list": n_list})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["run", "--output-dir", str(tmp_path / "out"), str(cfg)]) == 0
+    capsys.readouterr()
+
+    spans = tracer.records()
+    assert sum(span["name"] == "mc.chamber_exit" for span in spans) == 1
+    normals = [span["counts"]["normals"] for span in spans
+               if span["name"] == "brownian.batch_increments"]
+    r = load_config(str(cfg)).model.brownian_dim
+    assert normals and sum(normals) == M * max(n_list) * r
+
+
 @pytest.mark.parametrize("name", CONFIGS)
 def test_bench_and_shipped_configs_parse_and_describe(name, tmp_path, capsys):
     path = tmp_path / "cfg.json"

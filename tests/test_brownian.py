@@ -66,6 +66,20 @@ def test_long_grid_groups_equal_path_rng_draws_bitwise():
         assert row.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("T", [0.7, 1.0, 3.0])
+def test_grid_increments_are_scaled_prefixes_of_unit_normals(T):
+    # dt = n / n = 1 exactly draws the stream unscaled, and each grid's own
+    # draw is its first n steps times np.sqrt(T / n), bitwise (chamber_exit
+    # runs every grid on one such draw)
+    ids = np.arange(3, 43)
+    unit = batch_increments(2, 96, 96.0, 7, ids)
+    for row, pid in zip(unit, ids.tolist()):
+        assert row.tobytes() == path_rng(7, pid).standard_normal((96, 2)).tobytes()
+    for n in (96, 64, 17, 1):
+        own = batch_increments(2, n, T, 7, ids)
+        assert own.tobytes() == (unit[:, :n] * np.sqrt(TimeGrid(n, T).dt)).tobytes()
+
+
 def test_seed_range_validated():
     for bad in (-1, 2 ** 64, 1.5):
         with pytest.raises(ParameterError):

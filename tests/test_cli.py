@@ -140,6 +140,17 @@ def test_describe_warns_where_cap_level_exceeds_smallest_pairing(capsys):
     assert sum(line.startswith("warning: at n =") for line in lines) == 4
 
 
+def test_describe_prints_each_distinct_grid_once(tmp_path, capsys):
+    # a chamber-exit n_list may repeat a grid; describe lists it, and its
+    # cap-level warning, once
+    doc = json.loads((CONFIGS / "type_b_exit.json").read_text())
+    doc["run"]["n_list"] = [64, 32, 32, 128]
+    assert main(["describe", _write(tmp_path, doc)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [int(line.split()[3]) for line in lines if line.startswith("grid n")] == [32, 64, 128]
+    assert sum(line.startswith("warning: at n = 32 ") for line in lines) == 1
+
+
 def test_describe_and_validate_use_computed_linear_sigma_sup(tmp_path, capsys, monkeypatch):
     # sigma = 0.5 I + 0.3 sum_l clip(x_l, -R, R) I on A(2), k = 4: the sup
     # 0.5 + 0.6 R is dominated by 2k = 8 for R = 2 but not for R = 10

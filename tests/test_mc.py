@@ -12,7 +12,9 @@ from dunklsim import (
     FitError,
     GridError,
     ParameterError,
+    PathSolverError,
     SchemeConfig,
+    SqrtAffineFn,
     bessel_model,
     chamber_exit,
     cir_mean_check,
@@ -26,8 +28,8 @@ from dunklsim import (
     strong_error,
     type_b_model,
 )
-from dunklsim import mc, scheme
-from dunklsim.mc import ErrorCurve, wilson_interval
+from dunklsim import mc, scheme, stepping
+from dunklsim.mc import ErrorCurve, ExitReport, wilson_interval
 from dunklsim.brownian import batch_increments, coarsen
 from dunklsim.reductions import BLOCK
 
@@ -220,8 +222,8 @@ def test_chunk_size_does_not_change_results(name, monkeypatch):
     assert sorted(set(sizes)) == [1, BLOCK]
 
 
-# the estimators that stream states to a consumer, as m -> result; their
-# finest grid has 32 steps
+# the estimators that stream states to a consumer, and chamber_exit, which
+# keeps none, as m -> result; their finest grid has 32 steps
 SLABBED = {
     "negative_moments": lambda m: negative_moments(m, 2.0, 0.25, 32, 2 * BLOCK + 1, 5,
                                                    pathwise_sup=True),
@@ -330,6 +332,16 @@ def test_chamber_exit_memory_bounded_by_increments():
     m = type_b_model(2, k_long=5.0, k_short=5.0, xi=(0.6, 0.3))
     M, n = 1024, 256
     peak = _traced_peak(lambda: chamber_exit(m, 0.0, 1.1, [n], M, 1))
+    chunk = 8 * M * (n * m.brownian_dim + scheme._SLAB_STEPS * m.dim)
+    assert peak < chunk + 16 * 8 * M * m.rs.n_roots
+
+
+def test_chamber_exit_memory_does_not_grow_with_stacked_grids():
+    # four grids of one chunk share its single draw and two-grid solver
+    # calls: within the allowance of the finest grid alone
+    m = type_b_model(2, k_long=5.0, k_short=5.0, xi=(0.6, 0.3))
+    M, n = 1024, 256
+    peak = _traced_peak(lambda: chamber_exit(m, 0.0, 1.1, [n // 8, n // 4, n // 2, n], M, 1))
     chunk = 8 * M * (n * m.brownian_dim + scheme._SLAB_STEPS * m.dim)
     assert peak < chunk + 16 * 8 * M * m.rs.n_roots
 
@@ -470,6 +482,79 @@ def test_chamber_exit_two_distinct_grids_report_no_slope():
     assert min(rep.counts) >= 5
     assert rep.counts[0] == rep.counts[1] and rep.counts[2] == rep.counts[3]
     assert rep.decay_slope is None
+
+# chamber_exit runs every distinct grid of a chunk in lockstep, on one draw:
+# B(2) near the wall, and two models with time-dependent k on T = 0.7, one
+# stepped by Newton (B(2)) and one in closed form (A(2))
+STACKED_MODELS = {
+    "B2": lambda: type_b_model(2, **NEAR_WALL_B2),
+    "B2_kt": lambda: type_b_model(2, k_long=SqrtAffineFn(5.0, 2.0),
+                                  k_short=SqrtAffineFn(6.0, -1.0), xi=(0.6, 0.3), T=0.7),
+    "A2_kt": lambda: dyson_model(2, k=SqrtAffineFn(5.0, 2.0), xi=(0.05, -0.05), T=0.7),
+}
+STACKED_NS = [64, 16, 16, 32]      # shuffled, with a repeated grid
+
+
+def _report_from_single_grids(m, ns, M, seed, threads):
+    """The ExitReport of `ns` assembled from one single-n chamber_exit per grid."""
+    one = {n: chamber_exit(m, 0.0, 1.1, [n], M, seed, threads=threads) for n in set(ns)}
+    field = {name: tuple(getattr(one[n], name)[0] for n in ns)
+             for name in ("counts", "fractions", "ci_low", "ci_high")}
+    usable = [(n, f) for n, f, cnt in zip(ns, field["fractions"], field["counts"]) if cnt >= 5]
+    return ExitReport(n_values=tuple(ns), M=M, decay_slope=mc._slope_or_none(usable), **field)
+
+
+@pytest.mark.parametrize("model", sorted(STACKED_MODELS))
+@pytest.mark.parametrize("chunk, threads", [(BLOCK, 1), (BLOCK, 3), (mc._MAX_CHUNK, 1)])
+def test_chamber_exit_stacked_grids_equal_single_grid_runs(model, chunk, threads, monkeypatch):
+    # M = 2 blocks + 1: in one-BLOCK chunks two grids share each solver call
+    # and the lone last path runs every grid in one call; in one chunk of
+    # 2049 paths each grid has its own calls
+    monkeypatch.setattr(mc, "_MAX_CHUNK", chunk)
+    m = STACKED_MODELS[model]()
+    M = 2 * BLOCK + 1
+    stacked = chamber_exit(m, 0.0, 1.1, STACKED_NS, M, 5, threads=threads)
+    assert _bits(stacked) == _bits(_report_from_single_grids(m, STACKED_NS, M, 5, threads))
+    assert stacked.counts[1] == stacked.counts[2]
+
+
+@pytest.mark.parametrize("model", sorted(STACKED_MODELS))
+def test_stacked_grids_exit_where_run_batch_does_on_their_own_draws(model):
+    # each grid reads a scaled prefix of the finest grid's unit normals, which
+    # is bitwise its own draw: every path leaves the chamber at the step where
+    # run_batch on batch_increments has it leave, in one call for all grids
+    m = STACKED_MODELS[model]()
+    M, grids = 300, sorted(set(STACKED_NS), reverse=True)
+    cfgs = [SchemeConfig("truncated", 0.0, n, 1.1) for n in grids]
+    normals = batch_increments(m.brownian_dim, grids[0], float(grids[0]), 5, np.arange(M))
+    first = scheme._lockstep(m, cfgs, normals, unit=True)
+    for cfg, row in zip(cfgs, first):
+        inc = batch_increments(m.brownian_dim, cfg.n, m.T, 5, np.arange(M))
+        assert np.array_equal(row, run_batch(m, cfg, inc).first_violation)
+    rep = chamber_exit(m, 0.0, 1.1, STACKED_NS, M, 5)
+    assert rep.counts == tuple(int(np.count_nonzero(first[grids.index(n)] >= 0))
+                               for n in STACKED_NS)
+
+
+def test_stacked_grid_failure_names_that_grids_step_and_paths(monkeypatch):
+    # one Newton iteration per step: n = 1024 first fails at step 2, the
+    # coarser grids at step 1, so the stacked call raises for n = 128, its
+    # second grid, as that grid's own run_batch does
+    monkeypatch.setattr(stepping, "_NEWTON_CAP", 1)
+    m = type_b_model(2, **NEAR_WALL_B2)
+    M, ns = 64, [1024, 16, 16, 128]
+    own = {}
+    for n in set(ns):
+        inc = batch_increments(m.brownian_dim, n, m.T, 5, np.arange(M))
+        with pytest.raises(PathSolverError) as err:
+            run_batch(m, SchemeConfig("truncated", 0.0, n, 1.1), inc)
+        own[n] = err.value
+    assert (own[1024].step, own[128].step, own[16].step) == (2, 1, 1)
+    with pytest.raises(PathSolverError) as err:
+        chamber_exit(m, 0.0, 1.1, ns, M, 5)
+    got, want = err.value, own[128]
+    assert (got.step, got.path_ids, str(got)) == (want.step, want.path_ids, str(want))
+    assert np.array_equal(got.best, want.best) and got.residual == want.residual
 
 # ---------------------------------------------------------------------------
 # squared-mean checks against the moment equation

@@ -368,6 +368,49 @@ def test_capped_early_exit_within_certified_bound(name, rho_target, eps, spread,
     assert rep.residual <= bound
 
 
+def _stacked_parameter_sets(rs, kv, rho_target, seed, shared_k):
+    """Three (kv, h, eps, tol, predictors) sets of 8 rows each, and their
+    per-row arrays as the capped kernels take them."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for j in range(3):
+        kj = kv if shared_k else kv * (1.0 + 0.5 * j)
+        eps = 0.3 + 0.4 * j
+        h = rho_target * eps * eps / float(np.sum(kj * rs.norms_sq))
+        m_star, rho, b0 = stepping._certificate(rs, kj, h, eps, 1e-10)
+        sets.append((kj, h, eps, b0 * rho ** m_star, rng.normal(size=(8, rs.dim))))
+    kv_rows = kv if shared_k else np.repeat([s[0] for s in sets], 8, axis=0)
+    h_rows = np.repeat([[s[1]] * rs.dim for s in sets], 8, axis=0)
+    eps_rows = np.repeat([[s[2]] * rs.n_roots for s in sets], 8, axis=0)
+    tol_rows = np.repeat([s[3] for s in sets], 8)
+    xhat = np.vstack([s[4] for s in sets])
+    return sets, (kv_rows, xhat, h_rows, tol_rows, eps_rows)
+
+
+@given(st.sampled_from(sorted(CAPPED_SYSTEMS)), st.floats(0.05, 0.95),
+       st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_capped_per_row_parameters_equal_scalar_calls(name, rho_target, seed, shared_k):
+    """Rows stacked with their own h, eps, tolerance and strengths (or one
+    strength row for all) step as the call on their own scalars does,
+    bitwise, by Newton and, on A(2), in closed form."""
+    rs, k = CAPPED_SYSTEMS[name]
+    sets, (kv, xhat, h, tol, eps) = _stacked_parameter_sets(
+        rs, np.asarray(k, dtype=float)[rs.orbit_of], rho_target, seed, shared_k)
+    y, iters, res, ok = _newton_batch(rs, kv, xhat, h, tol, eps=eps)
+    for j, (kj, hj, ej, tj, xj) in enumerate(sets):
+        own = _newton_batch(rs, kj, xj, hj, tj, eps=ej)
+        assert [v.tobytes() for v in own] == [
+            v[8 * j:8 * j + 8].tobytes() for v in (y, iters, res, ok)]
+    a2 = make_type_a(2)
+    sets, (kv, xhat, h, _, eps) = _stacked_parameter_sets(
+        a2, np.array([1.5]), rho_target, seed, shared_k)
+    y = stepping._orthogonal_batch(a2, kv, xhat, h, eps)
+    for j, (kj, hj, ej, _, xj) in enumerate(sets):
+        own = stepping._orthogonal_batch(a2, kj, xj, hj, ej)
+        assert own.tobytes() == y[8 * j:8 * j + 8].tobytes()
+
+
 def test_truncated_rejects_non_contractive_stepsize():
     # needs h < eps^2 / L strictly
     with pytest.raises(ParameterError):

@@ -46,7 +46,7 @@ from .mc import (_chunk_size, chamber_exit, cir_mean_check, fit_order, increment
                  negative_moments, strong_error, threshold_warning)
 from .model import _noise_lattice, lipschitz_scale, moment_threshold, validate_assumptions
 from .roots import validate_axioms
-from .scheme import _closed_form_ok, capped_step_bound, run_batch, truncation_level
+from .scheme import _closed_form_ok, _plan, run_batch
 
 
 def _jsonable(o):
@@ -417,13 +417,12 @@ def cmd_describe(args) -> int:
     grids = {n for n in (*(cfg.n_list or ()), cfg.n, cfg.n_ref) if n is not None}
     min_pairing = float(np.min(m.rs.pairings(m.xi_array)))
     for n in sorted(grids):
-        line = f"grid n = {n:<8d}: dt = {m.T / n:.17g}"
-        if s.variant == "truncated":
-            cfg_n = s.resolve(n)
-            eps = truncation_level(m, cfg_n)
+        plan = _plan(m, s.resolve(n))
+        line = f"grid n = {n:<8d}: dt = {plan.grid.dt:.17g}"
+        if (eps := plan.eps) is not None:
             line += (f", min <alpha, xi> = {min_pairing:.17g}, cap level = {eps:.17g}, "
                      + ("closed-form step" if _closed_form_ok(m.rs)
-                        else f"certified step error <= {capped_step_bound(m, cfg_n):.3e}"))
+                        else f"certified step error <= {max(plan.tols):.3e}"))
             if eps > min_pairing:
                 line += (f"\nwarning: at n = {n} the cap level {eps:.4g} exceeds min "
                          f"<alpha, xi> = {min_pairing:.4g}, so the capped drift already "

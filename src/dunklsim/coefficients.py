@@ -54,9 +54,6 @@ class DiagonalSigma:
                 f"diagonal diffusion has {len(self.fns)} entries for dimension {d}")
         return d
 
-    def apply(self, t, x, db):
-        return db * np.array([float(f(t)) for f in self.fns])
-
     def bar(self, t: float) -> float:
         return max(abs(float(f(t))) for f in self.fns)
 
@@ -77,9 +74,11 @@ class MatrixSigma:
             raise ParameterError("matrix diffusion needs a finite 2-d array")
         object.__setattr__(self, "values", tuple(tuple(float(v) for v in row) for row in m))
 
-    @property
+    @cached_property
     def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        m = np.array(self.values, dtype=float)
+        m.flags.writeable = False
+        return m
 
     def brownian_dim(self, d: int) -> int:
         m = self.array
@@ -170,9 +169,6 @@ SigmaSpec = DiagonalSigma | MatrixSigma | LinearSigma
 
 @dataclass(frozen=True)
 class ZeroDrift:
-    def apply(self, t, x):
-        return np.zeros_like(x)
-
     def lipschitz(self, T: float) -> float:
         return 0.0
 
@@ -212,9 +208,11 @@ class ConstantDrift:
             raise ParameterError("constant drift needs a finite vector")
         object.__setattr__(self, "values", tuple(float(c) for c in v))
 
-    @property
-    def array(self):
-        return np.asarray(self.values, dtype=float)
+    @cached_property
+    def array(self) -> np.ndarray:
+        v = np.array(self.values, dtype=float)
+        v.flags.writeable = False
+        return v
 
     def apply(self, t, x):
         return np.broadcast_to(self.array, x.shape)

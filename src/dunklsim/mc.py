@@ -36,7 +36,7 @@ from .errors import FitError, GridError, ParameterError
 from .model import ModelSpec, _dot, bessel_model, moment_threshold
 # pairwise_sum is not called here; bench/tracing.py wraps it as mc.pairwise_sum
 from .reductions import BLOCK, block_partials, mean_se_from_sums, path_mean_se, pairwise_sum
-from .scheme import SchemeConfig, _lockstep, run_batch
+from .scheme import SchemeConfig, _lockstep, _plan, run_batch
 
 _CHUNK_BUDGET_BYTES = 192 * 2 ** 20
 _MAX_CHUNK = 4096
@@ -423,23 +423,24 @@ def chamber_exit(m: ModelSpec, theta: float, c: float, n_list, M: int,
     runs: the exact one preserves the chamber by construction.
 
     Each chunk draws its paths' normals once, at unit scale on the finest
-    grid, and runs every distinct n in lockstep on prefixes of them: a
-    grid's increments are bitwise those it would draw itself, so each count
-    is that of its own run.
+    grid, and runs every distinct n (planned once per call) in lockstep on
+    prefixes of them: a grid's increments are bitwise those it would draw
+    itself, so each count is that of its own run.
     """
     ns = tuple(int(n) for n in n_list)
     if not ns:
         raise ParameterError("need at least one grid size")
     if warning := threshold_warning(m, "truncated"):
         warnings.warn(warning, stacklevel=2)
-    cfgs = [SchemeConfig("truncated", theta, n, c) for n in sorted(set(ns), reverse=True)]
-    exited = np.zeros((len(cfgs), M), dtype=bool)
+    plans = [_plan(m, SchemeConfig("truncated", theta, n, c), unit=True)
+             for n in sorted(set(ns), reverse=True)]
+    exited = np.zeros((len(plans), M), dtype=bool)
 
     def work(start, stop, normals):
-        exited[:, start:stop] = _lockstep(m, cfgs, normals, unit=True) >= 0
+        exited[:, start:stop] = _lockstep(m, plans, normals) >= 0
 
-    _map_paths(m, cfgs[0].n, M, master_seed, threads, work, unit=True)
-    count = {cfg.n: int(row.sum()) for cfg, row in zip(cfgs, exited)}
+    _map_paths(m, plans[0].cfg.n, M, master_seed, threads, work, unit=True)
+    count = {p.cfg.n: int(row.sum()) for p, row in zip(plans, exited)}
     counts = [count[n] for n in ns]
 
     fractions = tuple(cnt / M for cnt in counts)

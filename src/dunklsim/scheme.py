@@ -22,15 +22,18 @@ lockstep from their increments (`brownian.batch_increments`), and a
 single path is a batch of one (`path_ids=np.array([i])`).  Its step loop,
 `_lockstep`, also advances one batch on several grids at once, each on a
 prefix of the finest grid's normals, for `mc.chamber_exit`; a run is its
-one-grid case.  Per-path arithmetic is elementwise, so a row does not
-depend on which other paths share the batch.  The root contractions are matrix products, which BLAS
-sums the same way for a row in any batch of two or more rows (gemm) but
-in another order for a single row (gemv); a batch of one path therefore
-runs as two copies of the path and keeps the first.  `audit_batch` does
-the same, and both build the predictor in `_predictor`.  Increments may
-come in any layout; those of `batch_increments` are time-major, like the
-states `run_batch` stores, so each step reads and writes contiguous rows,
-with the same bytes as on path-major arrays.
+one-grid case.  A grid's `_GridPlan` holds what it fixes before any state
+exists (k and a diagonal sigma at each time, h, eps_n, step tolerances),
+read by the loop, `audit_batch` and `dunklsim describe`; the first two
+build the predictor in `_predictor`.  Rows are elementwise, so a path
+does not depend on which other paths share the batch.  The root
+contractions are matrix products, which BLAS sums the same way for a row
+in any batch of two or more rows (gemm) but in another order for a single
+row (gemv); a batch of one path therefore runs as two copies of the path
+and keeps the first, in the loop and in the audit.  Increments may come in
+any layout; those of `batch_increments` are time-major, like the states
+`run_batch` stores, so each step reads and writes contiguous rows, with
+the same bytes as on path-major arrays.
 
 States go into one time-major slab: the whole grid, or, for a run given
 a consumer, `_SLAB_STEPS` times reused and handed to it each time it
@@ -45,7 +48,7 @@ import numpy as np
 
 from . import stepping
 from .brownian import TimeGrid
-from .coefficients import ZeroDrift
+from .coefficients import DiagonalSigma, ZeroDrift
 from .errors import DimensionError, GridError, ParameterError, PathSolverError
 from .model import ModelSpec, _dot, lipschitz_scale, repulsion
 from .roots import RootSystem
@@ -103,32 +106,6 @@ class BatchPaths:
     iterations: np.ndarray | None
 
 
-def truncation_level(m: ModelSpec, cfg: SchemeConfig) -> float:
-    """Cap level eps_n = c sqrt(L T / n); shrinks at the CLT rate so the
-    capped drift stays a contraction with factor (1-theta)/c^2."""
-    if cfg.variant != "truncated":
-        raise ParameterError("cap level is only defined for the truncated variant")
-    return cfg.c * math.sqrt(lipschitz_scale(m) * m.T / cfg.n)
-
-
-def capped_step_bound(m: ModelSpec, cfg: SchemeConfig) -> float:
-    """Largest certified error B0 rho^{m*} of a capped step over the grid's
-    step times: every truncated step of the run lies this close to its
-    exact solution or closer."""
-    return max(_step_bounds(m, cfg, TimeGrid(cfg.n, m.T)))
-
-
-def _step_bounds(m: ModelSpec, cfg: SchemeConfig, grid: TimeGrid) -> list[float]:
-    """The capped step's certified error B0 rho^{m*} at each step of the
-    grid, from one certificate per distinct row of strengths."""
-    h = (1.0 - cfg.theta) * grid.dt
-    eps = truncation_level(m, cfg)
-    rows, inverse = np.unique(m.k_at(grid.times[1:]), axis=0, return_inverse=True)
-    bounds = [b0 * rho ** m_star for m_star, rho, b0 in
-              (_certificate(m.rs, kv, h, eps, stepping._SOLVER_TOL) for kv in rows)]
-    return [bounds[i] for i in inverse.ravel()]
-
-
 def _closed_form_ok(rs: RootSystem) -> bool:
     """Mutually orthogonal roots (d=1, A(2), B(1) and their direct sums):
     the implicit step splits into one scalar quadratic per root."""
@@ -136,24 +113,66 @@ def _closed_form_ok(rs: RootSystem) -> bool:
     return np.count_nonzero(gram - np.diag(np.diag(gram))) == 0
 
 
-def _predictor(m: ModelSpec, cfg: SchemeConfig, grid: TimeGrid, kvg: np.ndarray,
-               eps: float | None, l: int, x: np.ndarray, db: np.ndarray,
+@dataclass(frozen=True)
+class _GridPlan:
+    """What one grid fixes before any state exists, read by every step."""
+
+    cfg: SchemeConfig
+    grid: TimeGrid
+    kvg: np.ndarray             # per-root strengths at each grid time, (n + 1, n_roots)
+    h: float                    # (1 - theta) dt
+    eps: float | None           # cap level eps_n; None for the exact variant
+    tols: list[float]           # the error each step certifies
+    scale: float | None         # sqrt(dt) for a run fed unit-scale normals, else None
+    sigma: np.ndarray | None    # diagonal sigma at each grid time, (n + 1, d or 1)
+
+
+def _plan(m: ModelSpec, cfg: SchemeConfig, unit: bool = False) -> _GridPlan:
+    """The plan of `cfg`'s grid; time functions are evaluated on the whole
+    grid at once, with the bytes of one call per time."""
+    grid = TimeGrid(cfg.n, m.T)
+    kvg = m.k_at(grid.times)
+    h = (1.0 - cfg.theta) * grid.dt
+    # eps_n = c sqrt(L T / n) shrinks at the CLT rate, so the capped drift
+    # stays a contraction with factor (1 - theta) / c^2
+    eps = (cfg.c * math.sqrt(lipschitz_scale(m) * m.T / cfg.n)
+           if cfg.variant == "truncated" else None)
+    tols = [stepping._SOLVER_TOL] * cfg.n
+    if eps is not None and not _closed_form_ok(m.rs):
+        # the capped step stops at the error B0 rho^{m*} its certificate
+        # allows: one certificate per distinct row of strengths
+        rows, inverse = np.unique(kvg[1:], axis=0, return_inverse=True)
+        bounds = [b0 * rho ** m_star for m_star, rho, b0 in
+                  (_certificate(m.rs, kv, h, eps, stepping._SOLVER_TOL) for kv in rows)]
+        tols = [bounds[i] for i in inverse.ravel()]
+    sigma = (np.stack([f(grid.times) for f in m.sigma.fns], axis=1)
+             if isinstance(m.sigma, DiagonalSigma) else None)
+    return _GridPlan(cfg, grid, kvg, h, eps, tols, np.sqrt(grid.dt) if unit else None, sigma)
+
+
+def _predictor(m: ModelSpec, plan: _GridPlan, l: int, x: np.ndarray, db: np.ndarray,
                npaths: int) -> np.ndarray:
     """xhat_l = X_l + sigma dB_l + b dt + theta dt f(X_l) for a batch of
-    states; the exact variant (eps None) first checks that every state is
-    inside the chamber and names the first `npaths` rows that are not."""
-    t_l = float(grid.times[l])
-    xhat = x + m.sigma.apply(t_l, x, db)
+    states, with every coefficient at t_l from `plan` (unit-scale normals are
+    scaled first); the exact variant first checks that every state is inside
+    the chamber and names the first `npaths` rows that are not."""
+    grid = plan.grid
+    if plan.scale is not None:
+        db = db * plan.scale
+    if plan.sigma is None:
+        xhat = x + m.sigma.apply(float(grid.times[l]), x, db)
+    else:
+        xhat = x + db * plan.sigma[l]
     if not isinstance(m.drift, ZeroDrift):
-        xhat += m.drift.apply(t_l, x) * grid.dt
-    if cfg.theta > 0.0:
+        xhat += m.drift.apply(float(grid.times[l]), x) * grid.dt
+    if plan.cfg.theta > 0.0:
         a = m.rs.matrix
         p = _dot(x, a.T)
-        if eps is None and p.min() <= 0.0:
+        if plan.eps is None and p.min() <= 0.0:
             raise PathSolverError(
                 "exact scheme state left the chamber (corrupted input?)",
                 step=l, path_ids=np.nonzero(p[:npaths].min(axis=1) <= 0.0)[0].tolist())
-        xhat += cfg.theta * grid.dt * repulsion(a, kvg[l], p, eps)
+        xhat += plan.cfg.theta * grid.dt * repulsion(a, plan.kvg[l], p, plan.eps)
     return xhat
 
 
@@ -201,7 +220,7 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
         slab[filled] = x
         filled += 1
 
-    first_violation = _lockstep(m, [cfg], inc, on_step=store)[0]
+    first_violation = _lockstep(m, [_plan(m, cfg)], inc, on_step=store)[0]
     states = slab[:filled].transpose(1, 0, 2)[:npaths]
     if consume is not None:
         consume(first, states)
@@ -210,82 +229,70 @@ def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
                       iterations=None if iter_rec is None else iter_rec.T[:npaths])
 
 
-def _lockstep(m: ModelSpec, cfgs: list[SchemeConfig], inc: np.ndarray, unit: bool = False,
+def _lockstep(m: ModelSpec, plans: list[_GridPlan], inc: np.ndarray,
               on_step=None) -> np.ndarray:
-    """Advance one batch of paths on every grid of `cfgs` (one variant,
+    """Advance one batch of paths on every grid of `plans` (one variant,
     theta and c; n strictly decreasing) in lockstep; returns each grid's
     first violations, (grids, paths).
 
     Grid j reads the first n_j of the finest grid's increments `inc`
-    (paths, n_0, r), or, with `unit`, of unit-scale normals times its own
-    sqrt(dt): bitwise its own `brownian.batch_increments`.  Step l advances
-    the grids with n_j > l, a prefix of `cfgs`, each from its predictor at
-    its own t_l.  A capped solver call then takes the rows of up to
-    `_CALL_ROWS // paths` grids with per-row h, eps, tolerance and
-    strengths; any other call holds one grid and takes scalars.  Rows are
-    elementwise, so no grid's paths depend on which grids share a call.
-    A failed step raises `PathSolverError` with the grid's step and path
-    ids, the finest grid first.  With one grid, on_step(l, x, iters, bad)
-    sees each step: the states at t_{l+1} (a lone path twinned), solver
-    iterations and, truncated, which rows are outside the chamber.
+    (paths, n_0, r), times its plan's scale when that is set: unit-scale
+    normals times its own sqrt(dt) are bitwise its own
+    `brownian.batch_increments`.  Step l advances the grids with n_j > l,
+    a prefix of `plans`, each from its predictor at its own t_l.  A capped
+    solver call then takes the rows of up to `_CALL_ROWS // paths` grids
+    with per-row h, eps, tolerance and strengths; any other call holds one
+    grid and takes scalars.  Rows are elementwise, so no grid's paths
+    depend on which grids share a call.  A failed step raises
+    `PathSolverError` with the grid's step and path ids, the finest grid
+    first.  With one grid, on_step(l, x, iters, bad) sees each step: the
+    states at t_{l+1} (a lone path twinned), solver iterations and,
+    truncated, which rows are outside the chamber.
     """
     npaths = inc.shape[0]
     inc = _twin(inc)
     rows = inc.shape[0]
     rs = m.rs
-    a = rs.matrix
-    truncated = cfgs[0].variant == "truncated"
+    truncated = plans[0].eps is not None
     closed_form = _closed_form_ok(rs)
-    grids = [TimeGrid(cfg.n, m.T) for cfg in cfgs]
-    kvg = [m.k_at(grid.times) for grid in grids]
-    eps = [truncation_level(m, cfg) if truncated else None for cfg in cfgs]
-    h = [(1.0 - cfg.theta) * grid.dt for cfg, grid in zip(cfgs, grids)]
-    # the capped step stops at the residual its certificate allows
-    tols = [_step_bounds(m, cfg, grid) if truncated and not closed_form
-            else [stepping._SOLVER_TOL] * cfg.n for cfg, grid in zip(cfgs, grids)]
-    scales = [np.sqrt(grid.dt) if unit else None for grid in grids]
     per_call = max(1, _CALL_ROWS // max(npaths, 1)) if truncated else 1
-    # each group's grids [j0, j1), with the per-row h and eps of its stacked
-    # calls as the leading rows of one array each
+    # each group's plans, with the per-row h and eps of its stacked calls as
+    # the leading rows of one array each
     groups = []
-    for j0 in range(0, len(cfgs), per_call):
-        j1 = min(j0 + per_call, len(cfgs))
-        groups.append((j0, j1, None if j1 - j0 == 1 else (
-            np.repeat(h[j0:j1], rows * rs.dim).reshape(-1, rs.dim),
-            np.repeat(eps[j0:j1], rows * rs.n_roots).reshape(-1, rs.n_roots))))
-    steady = all((kv == kvg[0][0]).all() for kv in kvg)     # k constant in time
+    for j0 in range(0, len(plans), per_call):
+        group = plans[j0:j0 + per_call]
+        groups.append((j0, group, None if len(group) == 1 else (
+            np.repeat([p.h for p in group], rows * rs.dim).reshape(-1, rs.dim),
+            np.repeat([p.eps for p in group], rows * rs.n_roots).reshape(-1, rs.n_roots))))
+    steady = all((p.kvg == plans[0].kvg[0]).all() for p in plans)     # k constant in time
 
-    x = [np.tile(m.xi_array, (rows, 1))] * len(cfgs)
-    first_violation = np.full((len(cfgs), rows), -1, dtype=np.int64)
-    live, ends = len(cfgs), [cfg.n for cfg in cfgs]
-    for l in range(ends[0]):
-        while ends[live - 1] <= l:
+    x = [np.tile(m.xi_array, (rows, 1))] * len(plans)
+    first_violation = np.full((len(plans), rows), -1, dtype=np.int64)
+    live = len(plans)
+    for l in range(plans[0].cfg.n):
+        while plans[live - 1].cfg.n <= l:
             live -= 1
-        for j0, j1, stack in groups:
+        for j0, group, stack in groups:
             if j0 >= live:
                 break
-            if j1 > live:
-                j1 = live
-            db = inc[:, l]
-            if j1 - j0 == 1:
-                xhat = _predictor(m, cfgs[j0], grids[j0], kvg[j0], eps[j0], l, x[j0],
-                                  db if scales[j0] is None else db * scales[j0], npaths)
-                hj, ej, tol, kv = h[j0], eps[j0], tols[j0][l], kvg[j0][l + 1]
+            group = group[:live - j0]
+            if len(group) == 1:
+                p = group[0]
+                xhat = _predictor(m, p, l, x[j0], inc[:, l], npaths)
+                hj, ej, tol, kv = p.h, p.eps, p.tols[l], p.kvg[l + 1]
             else:
-                xhat = np.concatenate([
-                    _predictor(m, cfgs[j], grids[j], kvg[j], eps[j], l, x[j],
-                               db if scales[j] is None else db * scales[j], npaths)
-                    for j in range(j0, j1)])
+                xhat = np.concatenate([_predictor(m, p, l, x[j], inc[:, l], npaths)
+                                       for j, p in enumerate(group, j0)])
                 hj, ej = stack[0][:len(xhat)], stack[1][:len(xhat)]
-                tol = np.repeat([tols[j][l] for j in range(j0, j1)], rows)
-                kv = kvg[0][l + 1] if steady else np.repeat(
-                    np.array([kvg[j][l + 1] for j in range(j0, j1)]), rows, axis=0)
+                tol = np.repeat([p.tols[l] for p in group], rows)
+                kv = plans[0].kvg[l + 1] if steady else np.repeat(
+                    np.array([p.kvg[l + 1] for p in group]), rows, axis=0)
             if closed_form:
                 y, iters = _orthogonal_batch(rs, kv, xhat, hj, ej), 0
             else:
                 y, iters, res, ok = _newton_batch(rs, kv, xhat, hj, tol, eps=ej)
                 if not ok.all():    # name the first failing grid's paths
-                    failed = ~ok.reshape(j1 - j0, rows)[:, :npaths]
+                    failed = ~ok.reshape(len(group), rows)[:, :npaths]
                     j = int(np.argmax(failed.any(axis=1)))
                     bad_ids = np.nonzero(failed[j])[0]
                     at = j * rows + bad_ids
@@ -295,14 +302,11 @@ def _lockstep(m: ModelSpec, cfgs: list[SchemeConfig], inc: np.ndarray, unit: boo
                         best=y[at[0]], residual=float(res[at[0]]))
             bad = None
             if truncated:
-                bad = _dot(y, a.T).min(axis=1) <= 0.0
-                fv = first_violation[j0:j1].reshape(-1)
+                bad = _dot(y, rs.matrix.T).min(axis=1) <= 0.0
+                fv = first_violation[j0:j0 + len(group)].reshape(-1)
                 fv[bad & (fv < 0)] = l + 1
-            if j1 - j0 == 1:
-                x[j0] = y
-            else:
-                for j in range(j0, j1):
-                    x[j] = y[(j - j0) * rows:(j - j0 + 1) * rows]
+            for j in range(len(group)):
+                x[j0 + j] = y[j * rows:(j + 1) * rows]
             if on_step is not None:
                 on_step(l, y, iters, bad)
     return first_violation[:, :npaths]
@@ -313,8 +317,9 @@ def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     """Residuals of the defining step equations along stored paths.
 
     Returns (paths, n) with |X_{l+1} - xhat_l - h f(t_{l+1}, X_{l+1})| from
-    the recorded increments (paths, n, r) and states (paths, n + 1, d), so
-    it is an independent check that the engine solved the right equations.
+    the recorded increments (paths, n, r) and states (paths, n + 1, d) on
+    the engine's `_plan` of the grid, so it is an independent check of the
+    solver: that the engine solved the right equations.
     """
     inc = _checked_increments(m, cfg, increments)
     npaths = inc.shape[0]
@@ -322,15 +327,12 @@ def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     if st.shape != (npaths, cfg.n + 1, m.rs.dim):
         raise DimensionError(f"states shape {st.shape} != {(npaths, cfg.n + 1, m.rs.dim)}")
     st, inc = _twin(st), _twin(inc)
-    grid = TimeGrid(cfg.n, m.T)
+    plan = _plan(m, cfg)
     a = m.rs.matrix
-    kvg = m.k_at(grid.times)
-    eps = truncation_level(m, cfg) if cfg.variant == "truncated" else None
-    h = (1.0 - cfg.theta) * grid.dt
     out = np.empty((st.shape[0], cfg.n))
     for l in range(cfg.n):
-        xhat = _predictor(m, cfg, grid, kvg, eps, l, st[:, l], inc[:, l], npaths)
+        xhat = _predictor(m, plan, l, st[:, l], inc[:, l], npaths)
         y = st[:, l + 1]
         out[:, l] = np.linalg.norm(
-            y - xhat - h * repulsion(a, kvg[l + 1], y @ a.T, eps), axis=1)
+            y - xhat - plan.h * repulsion(a, plan.kvg[l + 1], y @ a.T, plan.eps), axis=1)
     return out[:npaths]

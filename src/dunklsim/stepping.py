@@ -56,7 +56,7 @@ from .roots import RootSystem
 # Newton's line search: a trial at step t must cut the residual by the
 # factor 1 - _ARMIJO t, and an exact step covers at most _WALL_FRACTION of
 # the way to a wall.  Every step certifies an error of at most _SOLVER_TOL,
-# which `scheme.run_batch` reads when it is called.
+# which `scheme._plan` reads when it plans a grid.
 _ARMIJO = 1e-4
 _WALL_FRACTION = 0.95
 _NEWTON_CAP = 200
@@ -384,9 +384,9 @@ def _certificate(rs: RootSystem, kv: np.ndarray, h: float, eps: float,
         raise ParameterError(f"step weight must be positive, got {h}")
     scale = float(np.sum(kv * rs.norms_sq))
     rho = scale * h / (eps * eps)
-    if not rho < 1.0:
-        raise ParameterError(
-            f"capped step needs h < eps^2/L strictly (contraction {rho:g} >= 1)")
+    if not 0.0 < rho < 1.0:  # eps^2 overflows to inf for a huge cap level
+        raise ParameterError(f"capped step needs 0 < L h / eps^2 < 1 strictly, got "
+                             f"contraction {rho:g} at cap level {eps:g}")
     b0 = eps * float(np.sum(kv * np.sqrt(rs.norms_sq))) / (scale * (1.0 - rho))
     if b0 <= tol:
         return 0, rho, b0

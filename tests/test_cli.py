@@ -21,7 +21,7 @@ from dunklsim.cli import main
 from dunklsim.coefficients import LinearSigma
 from dunklsim.config import load_config
 from dunklsim.model import moment_threshold
-from dunklsim.scheme import truncation_level
+from dunklsim.scheme import _plan
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -87,7 +87,7 @@ def test_describe_prints_capped_step_bound(tmp_path, capsys):
     cfg = load_config(path)
     m, scheme = cfg.model, cfg.scheme.resolve(10)
     h = 0.75 * 0.1
-    eps = truncation_level(m, scheme)
+    eps = _plan(m, scheme).eps
     bounds = [b0 * rho ** m_star for m_star, rho, b0 in
               (fixed_point_certificate(m.rs, [fn(t) for fn in m.k], h, eps, 1e-10)
                for t in np.arange(1, 11) * 0.1)]
@@ -108,7 +108,7 @@ def test_describe_names_closed_form_step(tmp_path, capsys):
     assert main(["describe", path]) == 0
     out = capsys.readouterr().out
     cfg = load_config(path)
-    eps = truncation_level(cfg.model, cfg.scheme.resolve(10))
+    eps = _plan(cfg.model, cfg.scheme.resolve(10)).eps
     assert f"cap level = {eps:.17g}, closed-form step\n" in out
     assert "certified step error" not in out
 
@@ -536,6 +536,18 @@ def test_increments_with_truncated_variant_exits_2(tmp_path, capsys, theta):
 def test_missing_file_exits_1(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.json")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command", ["describe", "run"])
+def test_huge_cap_multiplier_exits_2_naming_the_cap(command, tmp_path, capsys):
+    # c = 1e200 parses, but eps_n^2 overflows, so the capped step's
+    # contraction factor L h / eps_n^2 is 0 and certifies nothing
+    doc = json.loads((CONFIGS / "type_b_exit.json").read_text())
+    doc["scheme"] = {"variant": "truncated", "theta": 0.0, "c": 1e200}
+    doc["run"]["output_dir"] = str(tmp_path / "out")
+    assert main([command, _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "cap level" in err[0]
 
 
 def test_unwritable_output_dir_exits_1(tmp_path, capsys):

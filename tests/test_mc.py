@@ -238,6 +238,7 @@ SLAB_MODELS = {"d1": lambda: bessel_model(k=4.0), "A3": lambda: dyson_model(3, k
 @pytest.mark.parametrize("name, model", [(name, model) for name in sorted(SLABBED)
                                          for model in sorted(SLAB_MODELS)
                                          if name != "cir_mean_check" or model == "d1"])
+@pytest.mark.filterwarnings("ignore:moment threshold")
 def test_state_slabs_do_not_change_results(name, model, monkeypatch):
     # slabs of 1, 3 and 7 times split every grid unevenly, and one-block
     # chunks with M = 2 blocks + 1 split the paths unevenly; slabs of 33
@@ -527,7 +528,7 @@ def test_stacked_grids_exit_where_run_batch_does_on_their_own_draws(model):
     M, grids = 300, sorted(set(STACKED_NS), reverse=True)
     cfgs = [SchemeConfig("truncated", 0.0, n, 1.1) for n in grids]
     normals = batch_increments(m.brownian_dim, grids[0], float(grids[0]), 5, np.arange(M))
-    first = scheme._lockstep(m, cfgs, normals, unit=True)
+    first = scheme._lockstep(m, [scheme._plan(m, cfg, unit=True) for cfg in cfgs], normals)
     for cfg, row in zip(cfgs, first):
         inc = batch_increments(m.brownian_dim, cfg.n, m.T, 5, np.arange(M))
         assert np.array_equal(row, run_batch(m, cfg, inc).first_violation)

@@ -185,6 +185,16 @@ def test_diffusion_scale_forms():
     assert mf.sigma.bar(0.0) == pytest.approx(math.sqrt(3.0))  # Frobenius
 
 
+
+def test_constant_coefficient_arrays_are_built_once_and_read_only():
+    # the engine reads them on every step
+    for form in (MatrixSigma(((1.0, 0.5, 0.0), (0.0, 1.0, 0.2))), ConstantDrift((0.3, 0.1))):
+        assert form.array is form.array
+        assert np.array_equal(form.array, np.array(form.values))
+        with pytest.raises(ValueError):
+            form.array[0] = 1.0
+
+
 _positive = st.floats(0.1, 10.0)
 _strength = st.one_of(
     _positive.map(ConstantFn),

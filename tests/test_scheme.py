@@ -14,6 +14,7 @@ from dunklsim import (
     RootSystem,
     SchemeConfig,
     SqrtAffineFn,
+    TableFn,
     audit_batch,
     bessel_model,
     closed_form_step_1d,
@@ -31,9 +32,10 @@ from dunklsim import (
 )
 from dunklsim import scheme, stepping
 from dunklsim.brownian import batch_increments
-from dunklsim.coefficients import DiagonalSigma, LinearSigma, ZeroDrift
-from dunklsim.model import ModelSpec
-from dunklsim.scheme import _closed_form_ok, truncation_level
+from dunklsim.coefficients import (ConstantDrift, DiagonalSigma, LinearDrift, LinearSigma,
+                                   MatrixSigma, ZeroDrift)
+from dunklsim.model import ModelSpec, lipschitz_scale, repulsion
+from dunklsim.scheme import _closed_form_ok, _plan
 from dunklsim.stepping import _newton_batch
 
 IDS = np.arange(8, dtype=np.uint64)
@@ -128,7 +130,7 @@ def test_truncated_step_equals_reference_bitwise():
     cfg = SchemeConfig(variant="truncated", theta=0.0, n=16)
     inc = _paths(m, cfg.n, seed=5, count=6)
     out = run_batch(m, cfg, inc, record_iterations=True)
-    h, eps = m.T / cfg.n, truncation_level(m, cfg)
+    h, eps = m.T / cfg.n, _plan(m, cfg).eps
     k_orbit = [fn(0.0) for fn in m.k]
     assert (out.first_violation > 0).any() and out.iterations.max() > 1
     for l in range(cfg.n):
@@ -139,11 +141,70 @@ def test_truncated_step_equals_reference_bitwise():
             assert ref.iterations == out.iterations[i, l]
 
 
+# every diffusion and drift form, each varying in time where it can
+SIGMA_FORMS = {
+    "diagonal": DiagonalSigma((TableFn((0.0, 0.4, 1.0), (1.0, 0.5, 0.8)),
+                               SqrtAffineFn(0.9, -0.4))),
+    "matrix": MatrixSigma(((0.8, 0.1, 0.2), (-0.1, 0.7, 0.3))),
+    "linear": LinearSigma(base=((0.6, 0.1), (0.0, 0.7)),
+                          coeffs=(((0.2, 0.0), (0.0, 0.1)), ((0.0, 0.1), (0.1, 0.2))),
+                          radius=2.0),
+}
+DRIFT_FORMS = {
+    "linear": LinearDrift(TableFn((0.0, 1.0), (-0.5, 0.8))),
+    "constant": ConstantDrift((0.3, 0.1)),
+}
+
+
+def _hand_predictor(m, cfg, eps, l, x, db):
+    """xhat_l = X_l + sigma dB_l + b dt + theta dt f(X_l) for the rows x, db,
+    written out from the scheme's definition: every time function is
+    called once, at the scalar t_l."""
+    dt = m.T / cfg.n
+    t = l * dt
+    s, b = m.sigma, m.drift
+    if isinstance(s, DiagonalSigma):
+        noise = db * np.array([float(f(t)) for f in s.fns])
+    elif isinstance(s, MatrixSigma):
+        noise = db @ np.array(s.values).T
+    else:
+        noise = np.einsum("mir,mr->mi", s.matrices(x), db)
+    drift = float(b.fn(t)) * x if isinstance(b, LinearDrift) else np.array(b.values)
+    kv = np.array([float(fn(t)) for fn in m.k])[m.rs.orbit_of]
+    a = m.rs.matrix
+    return x + noise + drift * dt + cfg.theta * dt * repulsion(a, kv, x @ a.T, eps)
+
+
+@pytest.mark.parametrize("variant", ["exact", "truncated"])
+@pytest.mark.parametrize("drift", sorted(DRIFT_FORMS))
+@pytest.mark.parametrize("sigma", sorted(SIGMA_FORMS))
+def test_predictor_reads_every_coefficient_at_the_step_start(sigma, drift, variant):
+    """Each B(2) step of a theta = 0.25 run is the step API's solution for a
+    predictor built by hand from sigma, b and k at t_l, and k at t_{l+1},
+    bitwise: no coefficient is read at another time or state."""
+    m = ModelSpec(rs=make_type_b(2), T=1.0, xi=(0.6, 0.3), sigma=SIGMA_FORMS[sigma],
+                  drift=DRIFT_FORMS[drift], k=(SqrtAffineFn(3.0, 1.0), 2.0))
+    cfg = SchemeConfig(variant=variant, theta=0.25, n=8, c=1.1)
+    inc = batch_increments(m.brownian_dim, cfg.n, m.T, 3, np.arange(4, dtype=np.uint64))
+    states = run_batch(m, cfg, inc).states
+    dt = m.T / cfg.n
+    h = (1.0 - cfg.theta) * dt
+    eps = (cfg.c * math.sqrt(lipschitz_scale(m) * m.T / cfg.n)
+           if variant == "truncated" else None)
+    for l in range(cfg.n):
+        xhat = _hand_predictor(m, cfg, eps, l, states[:, l], inc[:, l])
+        k_next = [float(fn((l + 1) * dt)) for fn in m.k]
+        for i in range(inc.shape[0]):
+            ref = (solve_exact_step(m.rs, k_next, xhat[i], h) if eps is None
+                   else solve_truncated_step(m.rs, k_next, xhat[i], h, eps))
+            assert ref.y.tobytes() == states[i, l + 1].tobytes(), (l, i)
+
+
 def test_truncation_level_formula():
     # c * sqrt(L*T/n) with L = 6 for three unit-strength A(3) pairs
     m = dyson_model(3, k=1.0)
     cfg = SchemeConfig(variant="truncated", theta=0.0, n=100, c=1.1)
-    assert truncation_level(m, cfg) == pytest.approx(0.2694438717061496, abs=1e-15)
+    assert _plan(m, cfg).eps == pytest.approx(0.2694438717061496, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +304,15 @@ def test_one_function_diagonal_broadcasts_bitwise(rs, variant, xi):
     # coordinates and as d copies of it
     f = SqrtAffineFn(1.0, -0.5)
     inc = batch_increments(rs.dim, 32, 1.0, 7, np.arange(16, dtype=np.uint64))
-    one, per_coord = (
-        run_batch(ModelSpec(rs=rs, T=1.0, xi=xi, sigma=sigma, drift=ZeroDrift(),
-                            k=(2.0,) * rs.n_orbits),
-                  SchemeConfig(variant=variant, theta=0.25, n=32), inc, record_flags=True)
-        for sigma in (DiagonalSigma((f,)), DiagonalSigma((f,) * rs.dim)))
+    cfg = SchemeConfig(variant=variant, theta=0.25, n=32)
+    models = [ModelSpec(rs=rs, T=1.0, xi=xi, sigma=sigma, drift=ZeroDrift(), k=(2.0,) * rs.n_orbits)
+              for sigma in (DiagonalSigma((f,)), DiagonalSigma((f,) * rs.dim))]
+    one, per_coord = (run_batch(m, cfg, inc, record_flags=True) for m in models)
     assert one.states.tobytes() == per_coord.states.tobytes()
     assert np.array_equal(one.in_chamber, per_coord.in_chamber)
-    db = inc[:, 0]
-    assert DiagonalSigma((f,)).apply(0.3, None, db).tobytes() == (f(0.3) * db).tobytes()
+    # the plan holds f at every grid time, with the bytes of one call per time
+    plan = _plan(models[0], cfg)
+    assert plan.sigma.tobytes() == np.array([[f(float(t))] for t in plan.grid.times]).tobytes()
 
 
 def test_audit_residuals_within_tolerance():
@@ -465,7 +526,7 @@ def test_closed_form_rows_match_reference_solvers(name, variant, k, c, n, spread
     h = m.T / n
     k_orbit = [fn(0.0) for fn in m.k]
     if variant == "truncated":
-        eps = truncation_level(m, cfg)
+        eps = _plan(m, cfg).eps
         m_star, rho, b0 = fixed_point_certificate(m.rs, k_orbit, h, eps)
         bound = b0 * rho ** m_star
         assert np.all(m.rs.pairings(out.states[0, 1]) < eps)

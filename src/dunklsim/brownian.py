@@ -6,7 +6,9 @@ that pair, never on scheduling, batching or thread budget.  Increments are
 generated once on the finest grid; coarser grids are obtained by exact
 pairwise block sums, which makes coupled multi-resolution runs telescope
 exactly (the sum of all coarse increments is bitwise the pairwise sum of
-all fine ones for power-of-two factors).
+all fine ones for power-of-two factors).  A grid may also be drawn in
+time blocks, each path's generator state carried from one block to the
+next (`StreamCarry`), with the bytes of the one-call draw.
 """
 from __future__ import annotations
 
@@ -61,15 +63,42 @@ def path_rng(master_seed: int, path_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class StreamCarry:
+    """Where each path's Philox stream stopped when a time block was drawn:
+    `states` holds each path's generator state, about 1 KB, and `step` is
+    the step the next block starts at."""
+
+    def __init__(self):
+        self.step = 0
+        self.states: list[dict] = []
+
+
 def batch_increments(r: int, finest_n: int, T: float, master_seed: int,
-                     path_ids: np.ndarray) -> np.ndarray:
-    """Increments for many paths as an (m, finest_n, r) view of time-major
+                     path_ids: np.ndarray, block: tuple[int, int] | None = None,
+                     carry: StreamCarry | None = None) -> np.ndarray:
+    """Increments for many paths as an (m, k, r) view of time-major
     storage, so step l's increments `inc[:, l]` are one contiguous row; a
-    path's values are its Philox stream scaled by sqrt(dt), bitwise."""
+    path's values are its Philox stream scaled by sqrt(dt), bitwise.
+
+    By default k = finest_n: the whole grid.  `block` = (first, stop) draws
+    steps first .. stop - 1 alone (k = stop - first), each path's stream
+    going on from `carry`, which the same paths' block ending at `first`
+    filled; a block ending before finest_n fills `carry` for the next.
+    Blocks of a grid are therefore bitwise slices of the whole grid's draw,
+    and a one-block draw keeps no per-path generator state."""
     grid = TimeGrid(n=finest_n, T=T)
+    first, stop = (0, finest_n) if block is None else block
+    if not 0 <= first < stop <= finest_n:
+        raise GridError(f"time block {(first, stop)} is not inside the {finest_n}-step grid")
+    resume, save = first > 0, stop < finest_n
+    if (resume or save) and carry is None:
+        raise ParameterError("a time block that is not the whole grid needs a StreamCarry")
+    if resume and carry.step != first:
+        raise GridError(f"the carried streams stopped at step {carry.step}, not {first}")
     scale = np.sqrt(grid.dt)
     # One Philox per call, re-keyed per path to path_rng's fresh state
-    # (counter zero, empty buffer); local, since chunks run on threads.
+    # (counter zero, empty buffer) or to its carried state; local, since
+    # chunks run on threads.
     bitgen = np.random.Philox(key=np.array([_check_seed("master_seed", master_seed), 0],
                                            dtype=np.uint64))
     gen = np.random.Generator(bitgen)
@@ -79,20 +108,33 @@ def batch_increments(r: int, finest_n: int, T: float, master_seed: int,
     # `_check_seed` runs per id only where the dtype admits a bad one
     valid = ids.dtype.kind == "u" or (ids.dtype.kind == "i" and ids.min(initial=0) >= 0)
     ids = ids.tolist() if valid else [_check_seed("path_id", int(pid)) for pid in ids.tolist()]
-    out = np.empty((finest_n, len(ids), r))
+    if resume and len(carry.states) != len(ids):
+        raise ParameterError(f"the carry holds {len(carry.states)} streams, not {len(ids)}")
+    steps = stop - first
+    out = np.empty((steps, len(ids), r))
+    # each path's state replaces the one it was restored from, so one
+    # path's carried state is alive at a time, not the old and the new
+    states = carry.states if resume else [None] * len(ids) if save else []
     # Groups of paths are drawn into one small buffer, scaled there and
     # copied to their columns, each path-step's r values as one record.
-    size = max(1, min(_DRAW_PATHS, len(ids)), _DRAW_BYTES // (8 * finest_n * r))
-    buf = np.empty((min(len(ids), size), finest_n, r))
+    size = max(1, min(_DRAW_PATHS, len(ids)), _DRAW_BYTES // (8 * steps * r))
+    buf = np.empty((min(len(ids), size), steps, r))
     rec = np.dtype((np.void, 8 * r))
     for g in range(0, len(ids), size):
         group = buf[:len(ids[g:g + size])]
-        for row, pid in zip(group, ids[g:g + size]):
-            key[1] = pid
-            bitgen.state = fresh
+        for i, (row, pid) in enumerate(zip(group, ids[g:g + size]), g):
+            if resume:
+                bitgen.state = carry.states[i]
+            else:
+                key[1] = pid
+                bitgen.state = fresh
             gen.standard_normal(out=row)
+            if resume or save:
+                states[i] = bitgen.state if save else None
         group *= scale
         out.view(rec)[:, g:g + len(group), 0] = group.view(rec)[..., 0].T
+    if carry is not None:
+        carry.states, carry.step = states if save else [], stop
     return out.transpose(1, 0, 2)
 
 

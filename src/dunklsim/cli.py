@@ -46,7 +46,7 @@ from .mc import (_chunk_size, chamber_exit, cir_mean_check, fit_order, increment
                  negative_moments, strong_error, threshold_warning)
 from .model import _noise_lattice, lipschitz_scale, moment_threshold, validate_assumptions
 from .roots import validate_axioms
-from .scheme import _closed_form_ok, _plan, run_batch
+from .scheme import _cap_level, _closed_form_ok, _plan, run_batch
 
 
 def _jsonable(o):
@@ -352,11 +352,19 @@ def _resolve_output_dir(cfg: ExperimentConfig, flag: str | None) -> str:
     return flag or os.environ.get("DUNKLSIM_OUTPUT_DIR") or cfg.output_dir
 
 
+def _grids(cfg: ExperimentConfig) -> list[int]:
+    """Every grid `cfg` runs, by n in increasing order."""
+    return sorted({n for n in (*(cfg.n_list or ()), cfg.n, cfg.n_ref) if n is not None})
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out_dir = _resolve_output_dir(cfg, args.output_dir)
     threads = args.threads if args.threads is not None else cfg.threads
 
+    # a cap level the estimators would reject fails before anything is created
+    for n in _grids(cfg):
+        _cap_level(cfg.model, cfg.scheme.resolve(n))
     os.makedirs(out_dir, exist_ok=True)
     probe = os.path.join(out_dir, ".write-probe")
     with open(probe, "w") as fh:
@@ -401,6 +409,8 @@ def cmd_describe(args) -> int:
     L = lipschitz_scale(m)
     p_star = moment_threshold(m)
     sigma_sup = float(np.max(_noise_lattice(m)[1]))
+    # every grid is planned, and any cap level rejected, before the first line
+    plans = {n: _plan(m, s.resolve(n)) for n in _grids(cfg)}
 
     print(f"root system        : dimension {m.dim}, {m.rs.n_roots} positive "
           f"roots in {m.rs.n_orbits} orbit(s)")
@@ -414,10 +424,8 @@ def cmd_describe(args) -> int:
     else:
         print(f"moment threshold   : {p_star:.17g}")
 
-    grids = {n for n in (*(cfg.n_list or ()), cfg.n, cfg.n_ref) if n is not None}
     min_pairing = float(np.min(m.rs.pairings(m.xi_array)))
-    for n in sorted(grids):
-        plan = _plan(m, s.resolve(n))
+    for n, plan in plans.items():
         line = f"grid n = {n:<8d}: dt = {plan.grid.dt:.17g}"
         if (eps := plan.eps) is not None:
             line += (f", min <alpha, xi> = {min_pairing:.17g}, cap level = {eps:.17g}, "

@@ -12,12 +12,23 @@ Conventions shared by every estimator here:
   the next finer one, which for power-of-two ratios is bitwise the same as
   summing it from `n_ref`; the reference solution is the same scheme run
   at `n_ref`;
-* paths run in chunks of at most `_MAX_CHUNK`, a multiple of `BLOCK`, so
-  memory is bounded by one chunk whatever M is;
+* paths run in chunks of at most `_MAX_CHUNK`, a multiple of `BLOCK`
+  (`_map_paths`), and a chunk advances one time block at a time: each
+  block's increments are drawn when it is reached, each path's stream
+  carried from the block before, and every run starts the block from the
+  states the last one left, on plans built once per estimator.  A block
+  holds at most `_BLOCK_VALUES` values per path (a convergence run's at
+  least n_ref / min(n_list) steps, so every grid coarsens within it), so
+  memory is bounded by one block of one chunk whatever n and M are.
+  `increment_scaling`, whose lags span the grid and whose time mean keeps
+  numpy's pairwise order, runs its grid as one block;
+* statistics fold across blocks without changing a byte: sup^2 by `max`,
+  per-time partials where each time falls, final states from the last
+  block;
 * an estimator that reads states one time at a time hands `run_batch` a
-  consumer, so a chunk holds one slab of its states, not the whole grid;
+  consumer, so a block holds one slab of its states, not all of them;
 * `chamber_exit` draws a chunk once, on its finest grid, and advances every
-  grid in lockstep on prefixes of that draw (`scheme._lockstep`).
+  grid in lockstep on each block's prefix of that draw (`scheme._lockstep`).
 
 RMS errors are reported with delta-method standard errors: if m is the
 mean of the per-path squared sup error and s its standard error, the
@@ -31,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import batch_increments, coarsen
+from .brownian import StreamCarry, batch_increments, coarsen
 from .errors import FitError, GridError, ParameterError
 from .model import ModelSpec, _dot, bessel_model, moment_threshold
 # pairwise_sum is not called here; bench/tracing.py wraps it as mc.pairwise_sum
@@ -40,6 +51,10 @@ from .scheme import SchemeConfig, _lockstep, _plan, run_batch
 
 _CHUNK_BUDGET_BYTES = 192 * 2 ** 20
 _MAX_CHUNK = 4096
+# values (steps times max(r, d)) per path of one time block; at 2048 the
+# generator state a path carries between blocks (about 7 us to save and
+# restore) costs about a tenth of drawing its block
+_BLOCK_VALUES = 2048
 
 # strong-rate guarantees ask for these moment thresholds
 RATE_THRESHOLD = {"exact": 6.0, "truncated": 8.0}
@@ -68,29 +83,53 @@ _T975 = (
 )
 
 
-def _chunk_size(n_fine: int, r: int) -> int:
-    # Per path, a chunk holds about three arrays of one fine grid each: its
-    # increments (n, r), a run's states (n+1, d), and one more of that size
-    # (a second run, coarsened copies, state differences).  Everything else
-    # an estimator keeps is per path, or one BLOCK of pairings at a time.
-    per_path = 8 * n_fine * max(r, 1) * 3
-    raw = _CHUNK_BUDGET_BYTES // max(per_path, 1)
+def _chunk_size(steps: int, width: int) -> int:
+    # Per path, a chunk holds about three arrays of one time block of
+    # `steps` steps, `width` = max(r, d) values each: its increments, a
+    # run's states and one more of that size (a second run, coarsened
+    # copies, state differences).  Everything else an estimator keeps is
+    # per path, or one BLOCK of pairings at a time.  A time block holds at
+    # most _BLOCK_VALUES values per path unless an estimator needs more, so
+    # blocked estimators run _MAX_CHUNK paths at a time at any n; whole-grid
+    # blocks (`simulate`, `increment_scaling`) keep at least one BLOCK.
+    raw = _CHUNK_BUDGET_BYTES // (8 * steps * width * 3)
     return int(min(_MAX_CHUNK, max(BLOCK, (raw // BLOCK) * BLOCK)))
 
 
+def _block_steps(width: int, at_least: int = 1) -> int:
+    """Steps of a time block whose steps hold `width` values per path: the
+    largest power of two with at most _BLOCK_VALUES values, but at least
+    `at_least`."""
+    return max(1 << (max(_BLOCK_VALUES // width, 1).bit_length() - 1), at_least)
+
+
 def _map_paths(m: ModelSpec, n: int, M: int, master_seed: int, threads: int,
-               work, unit: bool = False) -> None:
-    """Run work(start, stop, increments) over consecutive chunks of paths
-    0..M-1, each with its increments on the n-step grid, or with `unit` its
-    unit-scale normals (dt = n / n = 1 exactly).  The split is a pure
-    function of (n, M, model), so thread budget never changes any result."""
+               work, unit: bool = False, at_least: int = 1) -> None:
+    """For consecutive chunks of paths 0..M-1 [start, stop), fold
+    carried = work(start, stop, (first, last), increments, carried) over
+    the time blocks of the n-step grid in turn, from carried = None: the
+    increments are steps first .. last - 1, drawn when the block is reached,
+    or with `unit` their unit-scale normals (dt = n / n = 1 exactly), each
+    path's stream carried from block to block.  Nothing of a block outlives
+    its call but what `work` returns.
+
+    A block holds `_block_steps(max(r, d), at_least)` steps (`at_least` a
+    power of two, or n for one whole-grid block); only the last block of a
+    grid may be shorter.  The split is a pure function of (n, M, model),
+    so thread budget never changes any result."""
     r = m.brownian_dim
-    chunk = _chunk_size(n, max(r, m.dim))
+    width = max(r, m.dim)
+    steps = min(_block_steps(width, at_least), n)
+    chunk = _chunk_size(steps, width)
     horizon = float(n) if unit else m.T
 
     def run(start):
         stop = min(start + chunk, M)
-        work(start, stop, batch_increments(r, n, horizon, master_seed, np.arange(start, stop)))
+        ids, streams, carried = np.arange(start, stop), StreamCarry(), None
+        for first in range(0, n, steps):
+            block = (first, min(first + steps, n))
+            carried = work(start, stop, block, batch_increments(
+                r, n, horizon, master_seed, ids, block, streams), carried)
 
     starts = range(0, M, chunk)
     if threads <= 1 or len(starts) <= 1:
@@ -104,6 +143,12 @@ def _map_paths(m: ModelSpec, n: int, M: int, master_seed: int, threads: int,
 
 def _discard(first_step, states) -> None:
     """A `run_batch` consumer that keeps no states."""
+
+
+def _last(res) -> np.ndarray:
+    """A run's last states, (paths, d), apart from its state storage: where
+    the run of the next time block starts."""
+    return res.states[:, -1].copy()
 
 
 def threshold_warning(m: ModelSpec, variant: str) -> str | None:
@@ -162,30 +207,43 @@ def strong_error(m: ModelSpec, theta: float, n_list, n_ref: int, M: int,
     n_max = max(coarse) if coarse else n_ref
     ref_stride = n_ref // n_max
     cfg_ref = SchemeConfig(variant, theta, n_ref, c)
+    plan_ref = _plan(m, cfg_ref)
+    # finest to coarsest, each grid summed from the one before it
+    plans = [(j, _plan(m, SchemeConfig(variant, theta, n, c)))
+             for j, n in reversed(list(enumerate(ns))) if n != n_ref]
     sup2 = np.zeros((M, len(ns)))
 
-    def work(start, stop, inc):
-        # the reference states at the finest coarse grid's times, in
-        # time-major storage like the engine's
-        ref = np.empty((n_max + 1, stop - start, m.dim)).transpose(1, 0, 2)
+    def work(start, stop, block, inc, x):
+        # each run's last states: the reference's, then each coarse grid's
+        x = x or [None] * (1 + len(plans))
+        first, last = block
+        # the reference states at the finest coarse grid's times of the
+        # block, in time-major storage like the engine's
+        ref = np.empty(((last - first) // ref_stride + 1, stop - start, m.dim)
+                       ).transpose(1, 0, 2)
 
-        def keep(first, states):
-            t0 = -(-first // ref_stride)          # first kept time at or after `first`
-            kept = states[:, t0 * ref_stride - first::ref_stride]
+        def keep(at, states):
+            t0 = -(-at // ref_stride)          # first kept time at or after `at`
+            kept = states[:, t0 * ref_stride - at::ref_stride]
+            t0 -= first // ref_stride
             ref[:, t0:t0 + kept.shape[1]] = kept
 
-        run_batch(m, cfg_ref, inc, consume=keep)
-        # finest to coarsest, each grid summed from the one before it
+        x[0] = _last(run_batch(m, cfg_ref, inc, consume=keep, plan=plan_ref, block=block,
+                               start=x[0]))
         prev, n_prev = inc, n_ref
-        for j, n in reversed(list(enumerate(ns))):
-            if n == n_ref:
-                continue
+        for i, (j, plan) in enumerate(plans, 1):
+            n = plan.cfg.n
             prev, n_prev = coarsen(prev, n_prev // n), n
-            res = run_batch(m, SchemeConfig(variant, theta, n, c), prev)
+            f = n_ref // n
+            res = run_batch(m, plan.cfg, prev, plan=plan, block=(first // f, last // f),
+                            start=x[i])
+            x[i] = _last(res)
             diff = res.states - ref[:, ::n_max // n]
-            sup2[start:stop, j] = np.sum(diff * diff, axis=2).max(axis=1)
+            rows = sup2[start:stop, j]
+            np.maximum(rows, np.sum(diff * diff, axis=2).max(axis=1), out=rows)
+        return x
 
-    _map_paths(m, n_ref, M, master_seed, threads, work)
+    _map_paths(m, n_ref, M, master_seed, threads, work, at_least=n_ref // min(ns))
 
     rms, ses = zip(*map(_rms, *path_mean_se(sup2)))
     return ErrorCurve(n_values=ns, rms_errors=rms, std_errors=ses,
@@ -210,13 +268,17 @@ def scheme_gap(m: ModelSpec, theta: float, n: int, M: int, master_seed: int,
         raise ParameterError("need at least two paths")
     if not theta < 0.5:
         raise ParameterError("variant gap needs theta < 1/2 (exact-variant range)")
+    plans = [_plan(m, SchemeConfig("exact", theta, n)),
+             _plan(m, SchemeConfig("truncated", theta, n, c))]
     sup2 = np.zeros(M)
 
-    def work(start, stop, inc):
-        a = run_batch(m, SchemeConfig("exact", theta, n), inc)
-        b = run_batch(m, SchemeConfig("truncated", theta, n, c), inc)
+    def work(start, stop, block, inc, x):
+        a, b = (run_batch(m, p.cfg, inc, plan=p, block=block, start=x0)
+                for p, x0 in zip(plans, x or (None, None)))
         diff = a.states - b.states
-        sup2[start:stop] = np.sum(diff * diff, axis=2).max(axis=1)
+        rows = sup2[start:stop]
+        np.maximum(rows, np.sum(diff * diff, axis=2).max(axis=1), out=rows)
+        return _last(a), _last(b)
 
     _map_paths(m, n, M, master_seed, threads, work)
     return _rms(*path_mean_se(sup2))
@@ -302,18 +364,20 @@ def negative_moments(m: ModelSpec, p: float, theta: float, n: int, M: int,
     if p >= p_star:
         warnings.warn(f"moment order {p:g} >= threshold {p_star:g}; "
                       "estimates may diverge with M", stacklevel=2)
-    cfg = SchemeConfig("exact", theta, n)
+    plan = _plan(m, SchemeConfig("exact", theta, n))
     n_roots = m.rs.n_roots
     nblocks = -(-M // BLOCK)
     sums = np.zeros((nblocks, n + 1, n_roots))
     m2s = np.zeros((nblocks, n + 1, n_roots))
     sup_vals = np.full((M, n_roots), -np.inf) if pathwise_sup else None
 
-    def work(start, stop, inc):
+    def work(start, stop, block, inc, x):
         def reduce(t0, states):
             # every statistic is elementwise in time, so slabs of times
-            # reduce to the bytes of the whole grid; one BLOCK at a time,
-            # so pairings and their powers never span the chunk
+            # reduce to the bytes of the whole grid (a block's first time,
+            # the last of the block before, is rewritten with the same
+            # bytes); one BLOCK at a time, so pairings and their powers
+            # never span the chunk
             t1 = t0 + states.shape[1]
             for b in range(0, stop - start, BLOCK):
                 vals = _dot(states[b:b + BLOCK], m.rs.matrix.T) ** (-p)   # (paths, k, n_roots)
@@ -323,7 +387,8 @@ def negative_moments(m: ModelSpec, p: float, theta: float, n: int, M: int,
                 block_partials(vals, sums[:, t0:t1], m2s[:, t0:t1],
                                (start + b) // BLOCK)   # overwrites vals
 
-        run_batch(m, cfg, inc, consume=reduce)
+        return _last(run_batch(m, plan.cfg, inc, consume=reduce, plan=plan, block=block,
+                               start=x))
 
     _map_paths(m, n, M, master_seed, threads, work)
 
@@ -364,11 +429,11 @@ def increment_scaling(m: ModelSpec, theta: float, n: int, M: int, lag_list,
         if abs(s * dt - lag) > 1e-9 * max(dt, abs(lag)):
             raise GridError(f"lag {lag} is not a multiple of dt={dt}")
         steps.append(s)
-    cfg = SchemeConfig("exact", theta, n)
+    plan = _plan(m, SchemeConfig("exact", theta, n))
     per_path = np.zeros((M, len(steps)))
 
-    def work(start, stop, inc):
-        states = run_batch(m, cfg, inc).states
+    def work(start, stop, block, inc, _):
+        states = run_batch(m, plan.cfg, inc, plan=plan).states     # the whole grid
         # one BLOCK at a time, so no lag's differences span the chunk
         for b in range(0, stop - start, BLOCK):
             st = states[b:b + BLOCK]
@@ -380,7 +445,7 @@ def increment_scaling(m: ModelSpec, theta: float, n: int, M: int, lag_list,
                 per_path[start + b:start + b + len(st), j] = np.mean(
                     np.ascontiguousarray(np.sum(diff * diff, axis=2)), axis=1)
 
-    _map_paths(m, n, M, master_seed, threads, work)
+    _map_paths(m, n, M, master_seed, threads, work, at_least=n)
 
     est, se = (tuple(map(float, v)) for v in path_mean_se(per_path))
     pos = [(lag, e) for lag, e in zip(lag_list, est) if lag > 0.0 and e > 0.0]
@@ -423,9 +488,10 @@ def chamber_exit(m: ModelSpec, theta: float, c: float, n_list, M: int,
     runs: the exact one preserves the chamber by construction.
 
     Each chunk draws its paths' normals once, at unit scale on the finest
-    grid, and runs every distinct n (planned once per call) in lockstep on
-    prefixes of them: a grid's increments are bitwise those it would draw
-    itself, so each count is that of its own run.
+    grid and one time block at a time, and runs every distinct n (planned
+    once per call) in lockstep on each block's prefix of them: a grid's
+    increments are bitwise those it would draw itself, so each count is
+    that of its own run.
     """
     ns = tuple(int(n) for n in n_list)
     if not ns:
@@ -436,8 +502,10 @@ def chamber_exit(m: ModelSpec, theta: float, c: float, n_list, M: int,
              for n in sorted(set(ns), reverse=True)]
     exited = np.zeros((len(plans), M), dtype=bool)
 
-    def work(start, stop, normals):
-        exited[:, start:stop] = _lockstep(m, plans, normals) >= 0
+    def work(start, stop, block, normals, carried):
+        x, fv = _lockstep(m, plans, normals, block[0], *(carried or (None, None)))
+        exited[:, start:stop] = fv[:, :stop - start] >= 0
+        return x, fv
 
     _map_paths(m, plans[0].cfg.n, M, master_seed, threads, work, unit=True)
     count = {p.cfg.n: int(row.sum()) for p, row in zip(plans, exited)}
@@ -485,11 +553,14 @@ def cir_mean_check(k0: float, sigma0: float, lam0: float, xi: float, T: float,
     consistency check of the whole pipeline.
     """
     m = bessel_model(k=k0, sigma0=sigma0, lam=lam0, xi=xi, T=T)
-    cfg = SchemeConfig("exact", theta, n)
+    plan = _plan(m, SchemeConfig("exact", theta, n))
     finals = np.zeros(M)
 
-    def work(start, stop, inc):
-        finals[start:stop] = run_batch(m, cfg, inc, consume=_discard).states[:, -1, 0]
+    def work(start, stop, block, inc, x):
+        x = _last(run_batch(m, plan.cfg, inc, consume=_discard, plan=plan, block=block,
+                            start=x))
+        finals[start:stop] = x[:, 0]
+        return x
 
     _map_paths(m, n, M, master_seed, threads, work)
     mean, se = path_mean_se(finals ** 2)

@@ -35,7 +35,13 @@ any layout; those of `batch_increments` are time-major, like the states
 `run_batch` stores, so each step reads and writes contiguous rows, with
 the same bytes as on path-major arrays.
 
-States go into one time-major slab: the whole grid, or, for a run given
+A run, and the loop, may also cover one time block of the grid: it starts
+from the states and first violations the block before left, at that
+block's absolute step, so every coefficient is read at its own grid time
+and blocks run one after another are the whole run, bitwise.  The
+estimators of `mc` run long grids this way, on plans built once.
+
+States go into one time-major slab: the run's times, or, for a run given
 a consumer, `_SLAB_STEPS` times reused and handed to it each time it
 fills, so such a run never holds more than one slab of states.
 """
@@ -93,12 +99,13 @@ class BatchPaths:
     """States and diagnostics of a batch run (internal to the engine).
 
     `states` (paths, times, d), `in_chamber` and `iterations` are views of
-    time-major storage.  `states` holds every grid time, or the last slab
-    of a run given a consumer; either way `states[:, -1]` holds X(T).
-    `first_violation` is a path's first step outside the chamber
-    (truncated variant), -1 when it never left; `iterations` holds each
-    step's Newton iterations after the solver's explicit sweeps (0 for a
-    step they or the closed form certify)."""
+    time-major storage.  `states` holds every time of the run (the grid, or
+    one time block of it), or the last slab of a run given a consumer;
+    either way `states[:, -1]` holds the run's last state, X(T) for a run
+    to the grid's end.  `first_violation` is a path's first step of the
+    run outside the chamber (truncated variant), -1 when it did not leave;
+    `iterations` holds each step's Newton iterations after the solver's
+    explicit sweeps (0 for a step they or the closed form certify)."""
 
     states: np.ndarray
     first_violation: np.ndarray
@@ -127,16 +134,26 @@ class _GridPlan:
     sigma: np.ndarray | None    # diagonal sigma at each grid time, (n + 1, d or 1)
 
 
+def _cap_level(m: ModelSpec, cfg: SchemeConfig) -> float | None:
+    """eps_n of `cfg`'s grid, None for the exact variant.  eps_n = c sqrt(L T
+    / n) shrinks at the CLT rate, so the capped drift stays a contraction
+    with factor (1 - theta) / c^2; a cap level whose square overflows makes
+    that factor 0, and is rejected."""
+    if cfg.variant != "truncated":
+        return None
+    eps = cfg.c * math.sqrt(lipschitz_scale(m) * m.T / cfg.n)
+    if not eps * eps < math.inf:
+        raise ParameterError(f"cap level {eps:g} at n = {cfg.n} overflows when squared")
+    return eps
+
+
 def _plan(m: ModelSpec, cfg: SchemeConfig, unit: bool = False) -> _GridPlan:
     """The plan of `cfg`'s grid; time functions are evaluated on the whole
     grid at once, with the bytes of one call per time."""
     grid = TimeGrid(cfg.n, m.T)
     kvg = m.k_at(grid.times)
     h = (1.0 - cfg.theta) * grid.dt
-    # eps_n = c sqrt(L T / n) shrinks at the CLT rate, so the capped drift
-    # stays a contraction with factor (1 - theta) / c^2
-    eps = (cfg.c * math.sqrt(lipschitz_scale(m) * m.T / cfg.n)
-           if cfg.variant == "truncated" else None)
+    eps = _cap_level(m, cfg)
     tols = [stepping._SOLVER_TOL] * cfg.n
     if eps is not None and not _closed_form_ok(m.rs):
         # the capped step stops at the error B0 rho^{m*} its certificate
@@ -176,78 +193,113 @@ def _predictor(m: ModelSpec, plan: _GridPlan, l: int, x: np.ndarray, db: np.ndar
     return xhat
 
 
-def _checked_increments(m: ModelSpec, cfg: SchemeConfig, increments) -> np.ndarray:
-    """`increments` as an array, which must be (paths, n, r) on the scheme's grid."""
+def _checked_increments(m: ModelSpec, cfg: SchemeConfig, increments,
+                        block: tuple[int, int]) -> np.ndarray:
+    """`increments` as an array, which must be (paths, stop - first, r) for
+    the `block` (first, stop) of the scheme's grid."""
+    first, stop = block
+    if not 0 <= first < stop <= cfg.n:
+        raise GridError(f"time block {block} is not inside the {cfg.n}-step grid")
     inc = np.asarray(increments, dtype=float)
-    if inc.ndim != 3 or inc.shape[1] != cfg.n or inc.shape[2] != m.brownian_dim:
+    if inc.ndim != 3 or inc.shape[1] != stop - first or inc.shape[2] != m.brownian_dim:
         raise DimensionError(
-            f"increments shape {inc.shape} incompatible with n={cfg.n}, r={m.brownian_dim}")
+            f"increments shape {inc.shape} incompatible with steps {first}..{stop - 1} "
+            f"of n={cfg.n}, r={m.brownian_dim}")
     return inc
 
 
 def run_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
               consume=None, record_flags: bool = False,
-              record_iterations: bool = False) -> BatchPaths:
+              record_iterations: bool = False, plan: _GridPlan | None = None,
+              block: tuple[int, int] | None = None, start: np.ndarray | None = None
+              ) -> BatchPaths:
     """Advance a batch of paths; increments must be (paths, n, r) on the
     scheme's own grid.
+
+    A run may also cover one time block (first, stop) of the grid: its
+    increments are then steps first .. stop - 1, and it starts from
+    `start`, the (paths, d) states at t_first that the run of the block
+    before left in `states[:, -1]` (xi when first = 0).  Its states,
+    flags, iteration counts and first violations cover times first ..
+    stop, and each step reads its coefficients at its own grid time, so
+    blocks run one after another give the whole run's states bitwise.
+    `plan` is `_plan(m, cfg)`, built once for all blocks, else here.
 
     Without `consume` the result holds every state.  With it, the states
     go, one slab of at most `_SLAB_STEPS` times at a time, to
     consume(first_step, states), a (paths, k, d) view of times first_step
     .. first_step+k-1 whose buffer the next slab overwrites; the result
     then holds the last slab.  Flags and iteration counts cover the whole
-    grid either way.  The steps are those of `_lockstep` on one grid."""
-    inc = _checked_increments(m, cfg, increments)
+    run either way.  The steps are those of `_lockstep` on one grid."""
+    if plan is None:
+        plan = _plan(m, cfg)
+    elif plan.cfg != cfg:
+        raise ParameterError(f"plan of {plan.cfg} given for a run of {cfg}")
+    first, stop = block = (0, cfg.n) if block is None else block
+    inc = _checked_increments(m, cfg, increments, block)
     npaths = inc.shape[0]
+    x0 = m.xi_array if start is None else np.asarray(start, dtype=float)
+    if start is None and first > 0 or start is not None and x0.shape != (npaths, m.dim):
+        raise DimensionError(f"a run from step {first} needs ({npaths}, {m.dim}) start "
+                             f"states, got {None if start is None else x0.shape}")
     rows = max(npaths, 2) if npaths else 0       # a lone path runs twinned
+    steps = stop - first
     # time-major slab behind (rows, times, .) views: a step writes one row
-    slab = np.empty((cfg.n + 1 if consume is None else min(_SLAB_STEPS, cfg.n + 1),
+    slab = np.empty((steps + 1 if consume is None else min(_SLAB_STEPS, steps + 1),
                      rows, m.dim))
-    slab[0] = m.xi_array
-    first, filled = 0, 1
-    flags = np.ones((cfg.n + 1, rows), dtype=bool) if record_flags else None
-    iter_rec = np.zeros((cfg.n, rows), dtype=np.int32) if record_iterations else None
+    slab[0] = x0 if start is None else _twin(x0)
+    at, filled = first, 1
+    flags = np.ones((steps + 1, rows), dtype=bool) if record_flags else None
+    if flags is not None and start is not None and plan.eps is not None:
+        flags[0] = _dot(slab[0], m.rs.matrix.T).min(axis=1) > 0.0
+    iter_rec = np.zeros((steps, rows), dtype=np.int32) if record_iterations else None
 
     def store(l, x, iters, bad):
-        nonlocal first, filled
+        nonlocal at, filled
         if iter_rec is not None:
-            iter_rec[l] = iters
+            iter_rec[l - first] = iters
         if flags is not None and bad is not None:
-            flags[l + 1] = ~bad
+            flags[l + 1 - first] = ~bad
         if filled == len(slab):
-            consume(first, slab.transpose(1, 0, 2)[:npaths])
-            first, filled = first + filled, 0
+            consume(at, slab.transpose(1, 0, 2)[:npaths])
+            at, filled = at + filled, 0
         slab[filled] = x
         filled += 1
 
-    first_violation = _lockstep(m, [_plan(m, cfg)], inc, on_step=store)[0]
+    _, first_violation = _lockstep(m, [plan], inc, first, [slab[0].copy()], on_step=store)
     states = slab[:filled].transpose(1, 0, 2)[:npaths]
     if consume is not None:
-        consume(first, states)
-    return BatchPaths(states=states, first_violation=first_violation,
+        consume(at, states)
+    return BatchPaths(states=states, first_violation=first_violation[0, :npaths],
                       in_chamber=None if flags is None else flags.T[:npaths],
                       iterations=None if iter_rec is None else iter_rec.T[:npaths])
 
 
-def _lockstep(m: ModelSpec, plans: list[_GridPlan], inc: np.ndarray,
-              on_step=None) -> np.ndarray:
+def _lockstep(m: ModelSpec, plans: list[_GridPlan], inc: np.ndarray, first: int = 0,
+              x: list[np.ndarray] | None = None, first_violation: np.ndarray | None = None,
+              on_step=None) -> tuple[list[np.ndarray], np.ndarray]:
     """Advance one batch of paths on every grid of `plans` (one variant,
-    theta and c; n strictly decreasing) in lockstep; returns each grid's
-    first violations, (grids, paths).
+    theta and c; n strictly decreasing) in lockstep through one time block
+    of the finest grid, steps first .. first + k - 1 for increments `inc`
+    (paths, k, r).  Starts from each grid's states `x` at t_first (xi by
+    default) and its first violations so far (none by default), and
+    returns both where the block leaves them: ([grids] (rows, d),
+    (grids, rows)), with a lone path twinned into two rows as `x` must be;
+    pass them back with the next block.
 
-    Grid j reads the first n_j of the finest grid's increments `inc`
-    (paths, n_0, r), times its plan's scale when that is set: unit-scale
-    normals times its own sqrt(dt) are bitwise its own
-    `brownian.batch_increments`.  Step l advances the grids with n_j > l,
-    a prefix of `plans`, each from its predictor at its own t_l.  A capped
-    solver call then takes the rows of up to `_CALL_ROWS // paths` grids
-    with per-row h, eps, tolerance and strengths; any other call holds one
-    grid and takes scalars.  Rows are elementwise, so no grid's paths
-    depend on which grids share a call.  A failed step raises
-    `PathSolverError` with the grid's step and path ids, the finest grid
-    first.  With one grid, on_step(l, x, iters, bad) sees each step: the
-    states at t_{l+1} (a lone path twinned), solver iterations and,
-    truncated, which rows are outside the chamber.
+    Grid j reads the steps of `inc` below its own n_j, a prefix of the
+    block, times its plan's scale when that is set: unit-scale normals
+    times its own sqrt(dt) are bitwise its own `brownian.batch_increments`.
+    Step l advances the grids with n_j > l, a prefix of `plans`, each from
+    its predictor at its own t_l.  A capped solver call then takes the
+    rows of up to `_CALL_ROWS // paths` grids with per-row h, eps,
+    tolerance and strengths; any other call holds one grid and takes
+    scalars.  Rows are elementwise, so no grid's paths depend on which
+    grids share a call.  A failed step raises `PathSolverError` with the
+    grid's step and path ids, the finest grid first.  With one grid,
+    on_step(l, x, iters, bad) sees each step: the states at t_{l+1} (a
+    lone path twinned), solver iterations and, truncated, which rows are
+    outside the chamber.
     """
     npaths = inc.shape[0]
     inc = _twin(inc)
@@ -266,22 +318,24 @@ def _lockstep(m: ModelSpec, plans: list[_GridPlan], inc: np.ndarray,
             np.repeat([p.eps for p in group], rows * rs.n_roots).reshape(-1, rs.n_roots))))
     steady = all((p.kvg == plans[0].kvg[0]).all() for p in plans)     # k constant in time
 
-    x = [np.tile(m.xi_array, (rows, 1))] * len(plans)
-    first_violation = np.full((len(plans), rows), -1, dtype=np.int64)
+    x = [np.tile(m.xi_array, (rows, 1))] * len(plans) if x is None else list(x)
+    first_violation = (np.full((len(plans), rows), -1, dtype=np.int64)
+                       if first_violation is None else first_violation.copy())
     live = len(plans)
-    for l in range(plans[0].cfg.n):
+    for l in range(first, first + inc.shape[1]):
         while plans[live - 1].cfg.n <= l:
             live -= 1
+        db = inc[:, l - first]
         for j0, group, stack in groups:
             if j0 >= live:
                 break
             group = group[:live - j0]
             if len(group) == 1:
                 p = group[0]
-                xhat = _predictor(m, p, l, x[j0], inc[:, l], npaths)
+                xhat = _predictor(m, p, l, x[j0], db, npaths)
                 hj, ej, tol, kv = p.h, p.eps, p.tols[l], p.kvg[l + 1]
             else:
-                xhat = np.concatenate([_predictor(m, p, l, x[j], inc[:, l], npaths)
+                xhat = np.concatenate([_predictor(m, p, l, x[j], db, npaths)
                                        for j, p in enumerate(group, j0)])
                 hj, ej = stack[0][:len(xhat)], stack[1][:len(xhat)]
                 tol = np.repeat([p.tols[l] for p in group], rows)
@@ -309,7 +363,7 @@ def _lockstep(m: ModelSpec, plans: list[_GridPlan], inc: np.ndarray,
                 x[j0 + j] = y[j * rows:(j + 1) * rows]
             if on_step is not None:
                 on_step(l, y, iters, bad)
-    return first_violation[:, :npaths]
+    return x, first_violation
 
 
 def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
@@ -321,7 +375,7 @@ def audit_batch(m: ModelSpec, cfg: SchemeConfig, increments: np.ndarray,
     the engine's `_plan` of the grid, so it is an independent check of the
     solver: that the engine solved the right equations.
     """
-    inc = _checked_increments(m, cfg, increments)
+    inc = _checked_increments(m, cfg, increments, (0, cfg.n))
     npaths = inc.shape[0]
     st = np.asarray(states, dtype=float)
     if st.shape != (npaths, cfg.n + 1, m.rs.dim):

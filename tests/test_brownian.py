@@ -80,6 +80,71 @@ def test_grid_increments_are_scaled_prefixes_of_unit_normals(T):
         assert own.tobytes() == (unit[:, :n] * np.sqrt(TimeGrid(n, T).dt)).tobytes()
 
 
+@pytest.mark.parametrize("T", [1.0, 0.7])
+def test_blocks_of_a_grid_are_slices_of_its_one_block_draw(T):
+    # blocks of 1, 3 and 7 steps and the rest, each path's stream carried
+    # from block to block, give the one-block draw bitwise: at unit scale
+    # (T = n) and at sqrt(dt) scale; 40 paths make groups of 16, 16 and 8
+    n, ids = 64, np.arange(5, 45)
+    horizon = n * T if T == 1.0 else T
+    whole = batch_increments(2, n, horizon, 11, ids)
+    carry, parts, first = brownian.StreamCarry(), [], 0
+    for stop in (1, 4, 11, n):
+        parts.append(batch_increments(2, n, horizon, 11, ids, (first, stop), carry))
+        first = stop
+    assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
+
+
+_PHILOX_STATE = np.random.Philox.state
+
+
+class _CountingPhilox(np.random.Philox):
+    """Philox that counts reads of its `state`."""
+
+    reads = 0
+
+    @property
+    def state(self):
+        _CountingPhilox.reads += 1
+        return _PHILOX_STATE.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        _PHILOX_STATE.__set__(self, value)
+
+
+def test_one_block_draw_keeps_no_per_path_state(monkeypatch):
+    # a one-block draw reads the generator state once, for its fresh
+    # template, however many paths it draws (a read costs about 2 us per
+    # path); a draw in three blocks saves each path's state after the
+    # first two, and the streams are those of the unpatched generator
+    monkeypatch.setattr(np.random, "Philox", _CountingPhilox)
+    ids = np.arange(40)
+    whole = batch_increments(1, 30, 1.0, 3, ids)
+    assert _CountingPhilox.reads == 1
+    _CountingPhilox.reads = 0
+    carry = brownian.StreamCarry()
+    parts = [batch_increments(1, 30, 1.0, 3, ids, block, carry)
+             for block in ((0, 10), (10, 20), (20, 30))]
+    assert _CountingPhilox.reads == 3 + 2 * len(ids)
+    assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
+    monkeypatch.undo()
+    assert whole.tobytes() == batch_increments(1, 30, 1.0, 3, ids).tobytes()
+
+
+def test_blocks_need_a_carry_from_the_block_before():
+    ids = np.arange(4)
+    with pytest.raises(ParameterError):
+        batch_increments(1, 8, 1.0, 0, ids, (0, 4))
+    carry = brownian.StreamCarry()
+    batch_increments(1, 8, 1.0, 0, ids, (0, 4), carry)
+    for bad in ((2, 8), (4, 9), (4, 4)):
+        with pytest.raises(GridError):
+            batch_increments(1, 8, 1.0, 0, ids, bad, carry)
+    with pytest.raises(ParameterError):
+        batch_increments(1, 8, 1.0, 0, ids[:3], (4, 8), carry)
+
+
 def test_seed_range_validated():
     for bad in (-1, 2 ** 64, 1.5):
         with pytest.raises(ParameterError):

@@ -541,13 +541,16 @@ def test_missing_file_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["describe", "run"])
 def test_huge_cap_multiplier_exits_2_naming_the_cap(command, tmp_path, capsys):
     # c = 1e200 parses, but eps_n^2 overflows, so the capped step's
-    # contraction factor L h / eps_n^2 is 0 and certifies nothing
+    # contraction factor L h / eps_n^2 is 0 and certifies nothing; every
+    # grid is planned before anything is printed or created
     doc = json.loads((CONFIGS / "type_b_exit.json").read_text())
     doc["scheme"] = {"variant": "truncated", "theta": 0.0, "c": 1e200}
     doc["run"]["output_dir"] = str(tmp_path / "out")
     assert main([command, _write(tmp_path, doc)]) == 2
-    err = capsys.readouterr().err.splitlines()
+    out, err = capsys.readouterr()
+    err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "cap level" in err[0]
+    assert out == "" and not (tmp_path / "out").exists()
 
 
 def test_unwritable_output_dir_exits_1(tmp_path, capsys):

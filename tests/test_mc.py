@@ -156,20 +156,27 @@ def test_strong_error_thread_invariant_bitwise():
 
 NEAR_WALL_B2 = dict(k_long=5.0, k_short=5.0, xi=(0.6, 0.3))
 
-# every estimator as (M, master_seed, threads) -> result, on small grids
+NEAR_WALL_B2_KT = dict(k_long=SqrtAffineFn(5.0, 2.0), k_short=SqrtAffineFn(6.0, -1.0),
+                       xi=(0.6, 0.3))
+
+# every estimator as (M, master_seed, threads) -> result, on small grids of
+# 12 steps, so that time blocks of 8 steps do not divide them, and with
+# strengths that vary in time wherever the estimator takes a model
 ESTIMATORS = {
     "strong_error": lambda M, s, t: strong_error(
-        dyson_model(2, k=4.0), 0.25, [4, 8], 16, M, s, threads=t),
+        dyson_model(2, k=SqrtAffineFn(4.0, 2.0)), 0.25, [3, 6], 12, M, s, threads=t),
     "scheme_gap": lambda M, s, t: scheme_gap(
-        type_b_model(2, **NEAR_WALL_B2), 0.0, 8, M, s, threads=t),
+        type_b_model(2, **NEAR_WALL_B2_KT), 0.0, 12, M, s, threads=t),
     "negative_moments": lambda M, s, t: negative_moments(
-        dyson_model(2, k=4.0), 2.0, 0.25, 8, M, s, pathwise_sup=True, threads=t),
+        dyson_model(2, k=SqrtAffineFn(4.0, 2.0)), 2.0, 0.25, 12, M, s, pathwise_sup=True,
+        threads=t),
     "increment_scaling": lambda M, s, t: increment_scaling(
-        dyson_model(2, k=4.0), 0.0, 8, M, [1 / 8, 2 / 8, 4 / 8], s, threads=t),
+        dyson_model(2, k=SqrtAffineFn(4.0, 2.0)), 0.0, 12, M, [1 / 12, 2 / 12, 6 / 12], s,
+        threads=t),
     "chamber_exit": lambda M, s, t: chamber_exit(
-        type_b_model(2, **NEAR_WALL_B2), 0.0, 1.1, [8, 16], M, s, threads=t),
+        type_b_model(2, **NEAR_WALL_B2_KT), 0.0, 1.1, [6, 12], M, s, threads=t),
     "cir_mean_check": lambda M, s, t: cir_mean_check(
-        1.0, 1.0, 0.5, 1.0, 1.0, theta=0.0, n=8, M=M, master_seed=s, threads=t),
+        1.0, 1.0, 0.5, 1.0, 1.0, theta=0.0, n=12, M=M, master_seed=s, threads=t),
 }
 
 
@@ -187,9 +194,9 @@ def _chunk_sizes(monkeypatch) -> list[int]:
     sizes = []
     draw = mc.batch_increments
 
-    def counted(r, n, T, seed, ids):
+    def counted(r, n, T, seed, ids, *block):
         sizes.append(len(ids))
-        return draw(r, n, T, seed, ids)
+        return draw(r, n, T, seed, ids, *block)
 
     monkeypatch.setattr(mc, "batch_increments", counted)
     return sizes
@@ -210,16 +217,28 @@ def test_thread_pool_matches_serial_bitwise(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
 def test_chunk_size_does_not_change_results(name, monkeypatch):
-    # M = 2 blocks + 1 in one chunk at the default cap, in three at one BLOCK
+    # M = 2 blocks + 1 in one chunk at the default cap, in three at one BLOCK;
+    # and time blocks of 12 steps or more (the whole grid, one draw per
+    # chunk), 8 or 4 steps (8 does not divide 12) and 1 step, where a
+    # convergence run's blocks still hold n_ref / min(n_list) = 4 steps
     sizes = _chunk_sizes(monkeypatch)
     run = ESTIMATORS[name]
     M = 2 * BLOCK + 1
     whole = run(M, 5, 1)
-    assert set(sizes) == {M}
+    assert sizes == [M]
     sizes.clear()
     monkeypatch.setattr(mc, "_MAX_CHUNK", BLOCK)
     assert _bits(run(M, 5, 1)) == _bits(whole)
     assert sorted(set(sizes)) == [1, BLOCK]
+    # values per path of a time block -> time blocks per chunk: d = r = 2
+    # makes blocks of 1, 4, 8 and >= 12 steps, d = r = 1 of 1, 8 and >= 12
+    blocks = {"strong_error": (3, 3, 2, 1), "cir_mean_check": (12, 2, 1, 1),
+              "increment_scaling": (1, 1, 1, 1)}.get(name, (12, 3, 2, 1))
+    for values, count in zip((1, 8, 16, 2 ** 20), blocks):
+        monkeypatch.setattr(mc, "_BLOCK_VALUES", values)
+        sizes.clear()
+        assert _bits(run(M, 5, 1)) == _bits(whole)
+        assert sizes == [BLOCK] * 2 * count + [1] * count
 
 
 # the estimators that stream states to a consumer, and chamber_exit, which
@@ -304,20 +323,27 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def test_negative_moments_memory_bounded_by_one_chunk():
-    # one chunk's increments and states, plus a few BLOCK-sized arrays of
-    # pairings: nothing the estimator holds spans the chunk
+def test_negative_moments_memory_bounded_by_one_chunk(monkeypatch):
+    # one time block of a chunk's increments and one slab of its states
+    # (blocks of 128 steps here), its paths' carried generator states
+    # (about 1 KB each), a few BLOCK-sized arrays of one slab's pairings
+    # (M is four BLOCKs in one chunk, so pairings built over the chunk do
+    # not fit) and the per-time partials of each BLOCK; the whole grid's
+    # increments and states would need 8 * M * (2n + 1) bytes, 33.6 MB
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 128)
     m = bessel_model(k=4.0)
-    M, n = 4096, 64
+    M, n = 4096, 512
     peak = _traced_peak(lambda: negative_moments(m, 2.0, 0.25, n, M, 1, pathwise_sup=True))
-    chunk = 8 * M * (2 * n + 1)
-    block = 8 * BLOCK * (n + 1) * m.rs.n_roots
-    assert peak < chunk + 4 * block
+    steps, slab = mc._block_steps(1), scheme._SLAB_STEPS
+    chunk = 8 * M * (steps + min(slab, steps + 1)) + 1024 * M
+    pairings = 8 * BLOCK * slab * m.rs.n_roots
+    partials = 16 * (M // BLOCK) * (n + 1) * m.rs.n_roots
+    assert steps == 128 and peak < chunk + 4 * pairings + partials
 
 
 def test_increment_scaling_memory_bounded_by_one_chunk():
-    # one chunk's increments and states, plus a few BLOCK-sized arrays of
-    # one lag's differences
+    # one chunk's increments and states, its one time block being the whole
+    # grid, plus a few BLOCK-sized arrays of one lag's differences
     m = bessel_model(k=4.0)
     M, n = 2048, 128
     peak = _traced_peak(lambda: increment_scaling(
@@ -327,14 +353,19 @@ def test_increment_scaling_memory_bounded_by_one_chunk():
     assert peak < chunk + 4 * block
 
 
+def _exit_allowance(m, M, n) -> int:
+    """One chunk's normals (n fits one time block here), one slab of states
+    and one step's working arrays: a few numbers per path and root."""
+    assert n <= mc._block_steps(max(m.brownian_dim, m.dim))
+    return (8 * M * (n * m.brownian_dim + scheme._SLAB_STEPS * m.dim)
+            + 16 * 8 * M * m.rs.n_roots)
+
+
 def test_chamber_exit_memory_bounded_by_increments():
-    # one chunk's increments, one slab of states and one step's working
-    # arrays: a few numbers per path and root, whatever n is
     m = type_b_model(2, k_long=5.0, k_short=5.0, xi=(0.6, 0.3))
     M, n = 1024, 256
     peak = _traced_peak(lambda: chamber_exit(m, 0.0, 1.1, [n], M, 1))
-    chunk = 8 * M * (n * m.brownian_dim + scheme._SLAB_STEPS * m.dim)
-    assert peak < chunk + 16 * 8 * M * m.rs.n_roots
+    assert peak < _exit_allowance(m, M, n)
 
 
 def test_chamber_exit_memory_does_not_grow_with_stacked_grids():
@@ -343,8 +374,38 @@ def test_chamber_exit_memory_does_not_grow_with_stacked_grids():
     m = type_b_model(2, k_long=5.0, k_short=5.0, xi=(0.6, 0.3))
     M, n = 1024, 256
     peak = _traced_peak(lambda: chamber_exit(m, 0.0, 1.1, [n // 8, n // 4, n // 2, n], M, 1))
-    chunk = 8 * M * (n * m.brownian_dim + scheme._SLAB_STEPS * m.dim)
-    assert peak < chunk + 16 * 8 * M * m.rs.n_roots
+    assert peak < _exit_allowance(m, M, n)
+
+
+# the streaming estimators on d=1 as (n, M) -> result
+STREAMING = {
+    "strong_error": lambda n, M: strong_error(bessel_model(k=5.0), 0.25, [n // 16, n // 8],
+                                              n, M, 1),
+    "scheme_gap": lambda n, M: scheme_gap(bessel_model(k=5.0), 0.0, n, M, 1),
+    "negative_moments": lambda n, M: negative_moments(bessel_model(k=5.0), 2.0, 0.25, n, M,
+                                                      1, pathwise_sup=True),
+    "chamber_exit": lambda n, M: chamber_exit(bessel_model(k=5.0), 0.0, 1.1, [n // 4, n],
+                                              M, 1),
+    "cir_mean_check": lambda n, M: cir_mean_check(5.0, 1.0, 0.0, 1.0, 1.0, 0.0, n, M, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMING))
+def test_streaming_memory_does_not_grow_with_n(name):
+    # at n = 2^12 (two time blocks of 2048 steps) and 2^14 (eight) the
+    # traced peaks differ by at most 16 values per added grid time: a plan's
+    # strengths, sigma, tolerances and times, and a moment report's
+    # per-time partials and estimates.  Holding every step's increments of
+    # the 100 paths would add 100 such values.
+    peaks = []
+    for n in (2 ** 12, 2 ** 14):
+        tracemalloc.start()
+        try:
+            STREAMING[name](n, 100)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 8 * 16 * (2 ** 14 - 2 ** 12)
 
 
 def test_gap_tiny_deep_in_chamber_and_real_near_wall():
@@ -528,7 +589,7 @@ def test_stacked_grids_exit_where_run_batch_does_on_their_own_draws(model):
     M, grids = 300, sorted(set(STACKED_NS), reverse=True)
     cfgs = [SchemeConfig("truncated", 0.0, n, 1.1) for n in grids]
     normals = batch_increments(m.brownian_dim, grids[0], float(grids[0]), 5, np.arange(M))
-    first = scheme._lockstep(m, [scheme._plan(m, cfg, unit=True) for cfg in cfgs], normals)
+    _, first = scheme._lockstep(m, [scheme._plan(m, cfg, unit=True) for cfg in cfgs], normals)
     for cfg, row in zip(cfgs, first):
         inc = batch_increments(m.brownian_dim, cfg.n, m.T, 5, np.arange(M))
         assert np.array_equal(row, run_batch(m, cfg, inc).first_violation)

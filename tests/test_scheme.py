@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dunklsim import (
     DimensionError,
+    GridError,
     ParameterError,
     PathSolverError,
     RootSystem,
@@ -207,6 +208,16 @@ def test_truncation_level_formula():
     assert _plan(m, cfg).eps == pytest.approx(0.2694438717061496, abs=1e-15)
 
 
+@pytest.mark.parametrize("m", [bessel_model(k=1.0), type_b_model(2, k_long=1.0, k_short=1.0)],
+                         ids=["d1", "B2"])
+def test_cap_level_whose_square_overflows_is_rejected(m):
+    # on a closed-form system as on one whose capped step is certified
+    assert _plan(m, SchemeConfig("truncated", 0.0, 16, 1e150)).eps == pytest.approx(
+        1e150 * math.sqrt(lipschitz_scale(m) * m.T / 16))
+    with pytest.raises(ParameterError, match="cap level"):
+        _plan(m, SchemeConfig("truncated", 0.0, 16, 1e200))
+
+
 # ---------------------------------------------------------------------------
 # zero-noise oracles (d = 1, unit strength: X(t) = sqrt(1 + 2t))
 
@@ -295,6 +306,55 @@ def test_consumer_sees_every_state_in_slabs(slab, variant, monkeypatch):
     assert np.array_equal(out.states, full.states[:, firsts[-1]:])
     for field in ("first_violation", "in_chamber", "iterations"):
         assert np.array_equal(getattr(out, field), getattr(full, field))
+
+
+@pytest.mark.parametrize("variant", ["exact", "truncated"])
+@pytest.mark.parametrize("sigma", sorted(SIGMA_FORMS))
+def test_run_in_time_blocks_is_the_whole_run(sigma, variant):
+    # blocks of 1, 3 and 7 steps and the rest, each started from the states
+    # the block before left, on one plan, with every coefficient varying in
+    # time: each block's states, flags and iterations are the whole run's
+    # over its times, and its first violations are the whole run's first
+    # ones inside it; for 6 paths, and for a lone path, which runs twinned
+    m = ModelSpec(rs=make_type_b(2), T=1.0, xi=(0.3, 0.1), sigma=SIGMA_FORMS[sigma],
+                  drift=DRIFT_FORMS["linear"], k=(SqrtAffineFn(3.0, 1.0), 2.0))
+    cfg = SchemeConfig(variant=variant, theta=0.25, n=16, c=1.1)
+    plan = _plan(m, cfg)
+    exits = 0
+    for ids in (np.arange(32), np.array([3])):
+        inc = batch_increments(m.brownian_dim, cfg.n, m.T, 3, ids)
+        whole = run_batch(m, cfg, inc, record_flags=True, record_iterations=True)
+        exits += int(np.count_nonzero(whole.first_violation >= 0))
+        x, first = None, 0
+        for stop in (1, 4, 11, 16):
+            part = run_batch(m, cfg, inc[:, first:stop], record_flags=True,
+                             record_iterations=True, plan=plan, block=(first, stop), start=x)
+            assert part.states.tobytes() == whole.states[:, first:stop + 1].tobytes()
+            assert np.array_equal(part.in_chamber, whole.in_chamber[:, first:stop + 1])
+            assert np.array_equal(part.iterations, whole.iterations[:, first:stop])
+            outside = ~whole.in_chamber[:, first + 1:stop + 1]
+            assert np.array_equal(part.first_violation, np.where(
+                outside.any(axis=1), first + 1 + np.argmax(outside, axis=1), -1))
+            x, first = part.states[:, -1], stop
+    assert exits > 0 if variant == "truncated" else exits == 0
+
+
+def test_run_of_a_time_block_checks_its_block():
+    m = dyson_model(2, k=4.0)
+    cfg = SchemeConfig(variant="exact", theta=0.0, n=8)
+    inc = _paths(m, 8, 2, 3)
+    start = run_batch(m, cfg, inc).states[:, 2]
+    with pytest.raises(DimensionError):         # increments of another block's length
+        run_batch(m, cfg, inc[:, 2:5], block=(2, 6), start=start)
+    with pytest.raises(DimensionError):         # no start states after step 0
+        run_batch(m, cfg, inc[:, 2:6], block=(2, 6))
+    with pytest.raises(DimensionError):         # start states of another batch
+        run_batch(m, cfg, inc[:, 2:6], block=(2, 6), start=start[:2])
+    for bad in ((6, 2), (4, 9), (-1, 3)):
+        with pytest.raises(GridError):
+            run_batch(m, cfg, inc[:, :3], block=bad, start=start)
+    with pytest.raises(ParameterError):         # a plan of another grid
+        run_batch(m, cfg, inc, plan=_plan(m, SchemeConfig("exact", 0.0, 16)))
 
 
 @pytest.mark.parametrize("rs, variant, xi", [(make_type_a(3), "exact", (1.0, 0.0, -1.0)),
